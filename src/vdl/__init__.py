@@ -14,7 +14,7 @@ from .kernel import (
     kernel_no_cutoff,
     kernel_term,
 )
-from .specfun import EvalAccuracy, angular_kernel_j, ci, cin
+from .specfun import angular_kernel_j, ci, cin
 from .modesum import (
     QuadratureSpec,
     exponent_general_n,
@@ -49,7 +49,6 @@ __all__ = [
     "kernel_at_plates",
     "kernel_no_cutoff",
     "kernel_term",
-    "EvalAccuracy",
     "angular_kernel_j",
     "ci",
     "cin",

@@ -143,28 +143,27 @@ def _position_factor(tag: str, n: np.ndarray) -> np.ndarray:
     return np.where(n % 2 == 0, 1.0, -1.0)  # right plate, (-1)^n
 
 
-def _signed_displacement(d: float, tag: str, T: float, N: int,
-                         grid: ModeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Signed real displacement R (k_par_points, n_max+1) and cutoff mask.
+def _signed_displacement(d: float, tag: str, T: float, N: int, kp: np.ndarray,
+                         n: np.ndarray, grid: ModeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Signed real displacement R of the modes (kp, n) and their cutoff mask.
 
+    kp and n broadcast against each other.  R is left unmasked: modes
+    beyond the cutoff keep their value, and only ``overlap`` drops them.
     The common phase e^{-i phi} is position independent and drops out of
     every |alpha_a - alpha_b|; it is reattached only in ``amplitude``.
     """
-    kp = grid.k_par[:, None]
-    n = grid.n_values[None, :]
     k_sq = kp ** 2 + (n * math.pi / grid.L) ** 2
     inside = k_sq <= grid.k_par_max ** 2
     omega = C_LIGHT * np.sqrt(k_sq)
     f = np.where(n == 0, 1.0 / math.sqrt(2.0), 1.0)
-    chi = _position_factor(tag, grid.n_values)[None, :]
+    chi = _position_factor(tag, n)
     switch = modesum._switch_ratio(omega * T / 2.0, N)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = d * f * kp * C_LIGHT * chi * switch / (
             2.0 * math.pi * np.sqrt(omega ** 3 * HBAR * EPS0 * grid.L)
         )
     # k_par = 0 modes: the numerator k_par wins over omega^(-3/2), limit 0
-    r = np.where((kp == 0.0) | ~inside, 0.0, r)
-    return r, inside
+    return np.where(kp == 0.0, 0.0, r), inside
 
 
 def amplitude(mode: tuple[int, float], profile: DipoleProfile, T: float,
@@ -179,18 +178,10 @@ def amplitude(mode: tuple[int, float], profile: DipoleProfile, T: float,
         raise ValueError(f"mode integer n = {n} outside the grid 0..{grid.n_max}")
     if not (0.0 <= k_par <= grid.k_par_max):
         raise ValueError("k_par outside the grid range")
-    if N < 2 or N % 2 != 0:
-        raise ValueError("N must be even and >= 2")
+    r, _ = _signed_displacement(profile.d, profile.position_tag, T, N,
+                                np.array([k_par]), np.array([n]), grid)
+    signed = float(r[0])
     omega = C_LIGHT * math.hypot(k_par, n * math.pi / grid.L)
-    f = 1.0 / math.sqrt(2.0) if n == 0 else 1.0
-    chi = float(_position_factor(profile.position_tag, np.array([n]))[0])
-    if omega == 0.0 or k_par == 0.0:
-        signed = 0.0
-    else:
-        switch = float(modesum._switch_ratio(np.float64(omega * T / 2.0), N))
-        signed = profile.d * f * k_par * C_LIGHT * chi * switch / (
-            2.0 * math.pi * math.sqrt(omega ** 3 * HBAR * EPS0 * grid.L)
-        )
     phase = math.pi + (N + 1) * omega * T / 2.0
     if signed < 0.0:
         phase -= math.pi
@@ -198,13 +189,10 @@ def amplitude(mode: tuple[int, float], profile: DipoleProfile, T: float,
 
 
 def _check_compatible(a: DipoleProfile, b: DipoleProfile):
-    plate = ("left_plate", "right_plate")
     if (a.position_tag == "center") != (b.position_tag == "center"):
         raise ValueError(
             "profiles must share a position class: both center or both plate-type"
         )
-    if a.position_tag in plate and b.position_tag not in plate:
-        raise ValueError("incompatible dipole profiles")
 
 
 def overlap(profile_a: DipoleProfile, profile_b: DipoleProfile, T: float,
@@ -217,13 +205,13 @@ def overlap(profile_a: DipoleProfile, profile_b: DipoleProfile, T: float,
     evaluations are bitwise identical.
     """
     _check_compatible(profile_a, profile_b)
-    if N < 2 or N % 2 != 0:
-        raise ValueError("N must be even and >= 2")
     if T < 0.0 or not math.isfinite(T):
         raise ValueError("T must be finite and >= 0")
-    r_a, _ = _signed_displacement(profile_a.d, profile_a.position_tag, T, N, grid)
-    r_b, _ = _signed_displacement(profile_b.d, profile_b.position_tag, T, N, grid)
-    diff_sq = (r_a - r_b) ** 2
+    kp, n = grid.k_par[:, None], grid.n_values[None, :]
+    r_a, inside = _signed_displacement(profile_a.d, profile_a.position_tag, T, N,
+                                       kp, n, grid)
+    r_b, _ = _signed_displacement(profile_b.d, profile_b.position_tag, T, N, kp, n, grid)
+    diff_sq = np.where(inside, r_a - r_b, 0.0) ** 2
     measure = grid.trapezoid_weights[:, None] * 2.0 * math.pi * grid.k_par[:, None]
     exponent = 0.5 * float(np.sum(measure * diff_sq))
     return math.exp(-exponent)
@@ -241,14 +229,10 @@ def overlap_excluding_free_space(profile_a: DipoleProfile,
     case in which the plate overlap reduces to the same even-image sum.
     """
     _check_compatible(profile_a, profile_b)
-    if profile_a.position_tag == "center":
-        delta = profile_b.d - profile_a.d
-    else:
-        if abs(profile_a.d + profile_b.d) > 1e-9 * abs(profile_b.d - profile_a.d):
-            raise ValueError(
-                "free-space subtraction at the plates requires d_a = -d_b"
-            )
-        delta = profile_b.d - profile_a.d
+    delta = profile_b.d - profile_a.d
+    plates = profile_a.position_tag != "center"
+    if plates and abs(profile_a.d + profile_b.d) > 1e-9 * abs(delta):
+        raise ValueError("free-space subtraction at the plates requires d_a = -d_b")
     alpha = abs(delta) / dipole_coupling_scale(grid.L)
     tau = C_LIGHT * T / grid.L
     gamma_free = alpha ** 2 / math.pi * modesum.m0_term(grid.kappa, tau)

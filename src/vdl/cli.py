@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -74,20 +73,14 @@ def _manifest_lines(command: str, inputs: dict) -> list[str]:
 
 
 def _write_text(path: Path, lines: list[str]):
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def parse_config(path: Path) -> dict[str, str]:
     """Flat ``key = value`` file; '#' starts a comment."""
     values: dict[str, str] = {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = path.read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -118,8 +111,22 @@ def _sweep_values(args) -> np.ndarray:
     return np.linspace(args.start, args.stop, args.points)
 
 
-def _policy(args) -> kernel.SeriesPolicy:
-    return kernel.SeriesPolicy(tail_bound=args.tail_bound)
+def _curve_lines(points, tail_bound: float) -> list[str]:
+    """Header and ``tau,alpha,kappa,gamma,D,status`` rows for (alpha, kappa,
+    tau) points; a point whose series does not converge is flagged
+    ``no_convergence`` with nan values and the curve continues."""
+    policy = kernel.SeriesPolicy(tail_bound=tail_bound)
+    lines = ["tau,alpha,kappa,gamma,D,status"]
+    for alpha, kappa, tau in points:
+        try:
+            res = kernel.decoherence_kernel(
+                kernel.DimensionlessParams(alpha, kappa, tau), policy)
+            gamma, d, status = res.gamma, res.kernel, "ok"
+        except ConvergenceError:
+            gamma, d, status = float("nan"), float("nan"), "no_convergence"
+        lines.append(f"{_fmt(tau)},{_fmt(alpha)},{_fmt(kappa)},"
+                     f"{_fmt(gamma)},{_fmt(d)},{status}")
+    return lines
 
 
 # ---------------------------------------------------------------- commands
@@ -128,25 +135,7 @@ def _policy(args) -> kernel.SeriesPolicy:
 def cmd_kernel_sweep(args) -> int:
     values = _sweep_values(args)
     fixed = {"alpha": args.alpha, "kappa": args.kappa, "tau": args.tau}
-    if args.sweep not in fixed:
-        raise UsageError("--sweep must be one of tau, alpha, kappa")
-    policy = _policy(args)
-
-    def evaluate(v: float):
-        point = dict(fixed)
-        point[args.sweep] = float(v)
-        try:
-            res = kernel.decoherence_kernel(
-                kernel.DimensionlessParams(point["alpha"], point["kappa"], point["tau"]),
-                policy,
-            )
-            return point, res.gamma, res.kernel, "ok"
-        except ConvergenceError:
-            return point, float("nan"), float("nan"), "no_convergence"
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(evaluate, values))
-
+    points = [{**fixed, args.sweep: float(v)} for v in values]
     lines = _manifest_lines(
         "kernel-sweep",
         {
@@ -161,14 +150,10 @@ def cmd_kernel_sweep(args) -> int:
             "tail_bound": _fmt(args.tail_bound),
         },
     )
-    lines.append("tau,alpha,kappa,gamma,D,status")
-    for point, gamma, d, status in rows:
-        lines.append(
-            f"{_fmt(point['tau'])},{_fmt(point['alpha'])},{_fmt(point['kappa'])},"
-            f"{_fmt(gamma)},{_fmt(d)},{status}"
-        )
+    lines += _curve_lines(
+        [(p["alpha"], p["kappa"], p["tau"]) for p in points], args.tail_bound)
     _write_text(Path(args.out), lines)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(points)} rows)")
     return EXIT_OK
 
 
@@ -315,15 +300,8 @@ def cmd_feasibility(args) -> int:
 def cmd_figure2(args) -> int:
     alphas = _float_list(args.alphas, "--alphas")
     taus = np.linspace(0.0, args.tau_max, args.points)
-    policy = _policy(args)
     out_dir = Path(args.out_dir)
     for alpha in alphas:
-        def evaluate(tau):
-            res = kernel.decoherence_kernel(
-                kernel.DimensionlessParams(alpha, args.kappa, float(tau)), policy)
-            return res.gamma, res.kernel
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(evaluate, taus))
         lines = _manifest_lines(
             "figure2",
             {
@@ -334,12 +312,8 @@ def cmd_figure2(args) -> int:
                 "tail_bound": _fmt(args.tail_bound),
             },
         )
-        lines.append("tau,alpha,kappa,gamma,D,status")
-        for tau, (gamma, d) in zip(taus, rows):
-            lines.append(
-                f"{_fmt(float(tau))},{_fmt(alpha)},{_fmt(args.kappa)},"
-                f"{_fmt(gamma)},{_fmt(d)},ok"
-            )
+        lines += _curve_lines(
+            [(alpha, args.kappa, float(tau)) for tau in taus], args.tail_bound)
         path = out_dir / f"figure2_alpha{alpha:g}.csv"
         _write_text(path, lines)
         print(f"wrote {path}")
@@ -402,11 +376,11 @@ def cmd_modes_demo(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", default=None, help="key = value configuration file")
+def _add_out(sub: argparse.ArgumentParser):
     sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="concurrent sweep-point evaluation (default 1)")
+
+
+def _add_tail_bound(sub: argparse.ArgumentParser):
     sub.add_argument("--tail-bound", type=float, default=1e-12,
                      help="series tail bound for kernel evaluations")
 
@@ -420,8 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vdl {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sweep = subs.add_parser("kernel-sweep", help="sweep tau/alpha/kappa, write CSV")
-    _add_common(sweep)
+    sweep = subs.add_parser("kernel-sweep", allow_abbrev=False,
+                            help="sweep tau/alpha/kappa, write CSV")
+    _add_out(sweep)
+    _add_tail_bound(sweep)
     sweep.add_argument("--alpha", type=float, default=0.5)
     sweep.add_argument("--kappa", type=float, default=1e8)
     sweep.add_argument("--tau", type=float, default=0.0)
@@ -432,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
     sweep.set_defaults(func=cmd_kernel_sweep, needs_out=True)
 
-    oracle = subs.add_parser("oracle-check",
+    oracle = subs.add_parser("oracle-check", allow_abbrev=False,
                              help="closed form vs quadrature identity table")
-    _add_common(oracle)
+    _add_out(oracle)
     oracle.add_argument("--m-max", type=int, default=6)
     oracle.add_argument("--kappa-grid", default="50,200,1000")
     oracle.add_argument("--tau-grid", default="0.3,0.9,1.7,2.5")
@@ -442,8 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--tolerance", type=float, default=1e-6)
     oracle.set_defaults(func=cmd_oracle_check, needs_out=False)
 
-    feas = subs.add_parser("feasibility", help="experimental feasibility report")
-    _add_common(feas)
+    feas = subs.add_parser("feasibility", allow_abbrev=False,
+                           help="experimental feasibility report")
+    _add_out(feas)
+    feas.add_argument("--config", default=None, help="key = value configuration file")
     feas.add_argument("--polarizability", type=float, default=None)
     feas.add_argument("--size", type=float, default=None)
     feas.add_argument("--velocity", type=float, default=None)
@@ -458,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None)
     feas.set_defaults(func=cmd_feasibility, needs_out=False)
 
-    fig2 = subs.add_parser("figure2", help="kernel vs tau curves at kappa = 1e8")
-    _add_common(fig2)
+    fig2 = subs.add_parser("figure2", allow_abbrev=False,
+                           help="kernel vs tau curves at kappa = 1e8")
+    _add_tail_bound(fig2)
     fig2.add_argument("--out-dir", default="figure2")
     fig2.add_argument("--alphas", default="0.1,0.3,0.5",
                       help="comma list; the published curves show this range")
@@ -468,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--tau-max", type=float, default=5.0)
     fig2.set_defaults(func=cmd_figure2, needs_out=False)
 
-    demo = subs.add_parser("modes-demo", help="grid-simulator convergence study")
-    _add_common(demo)
+    demo = subs.add_parser("modes-demo", allow_abbrev=False,
+                           help="grid-simulator convergence study")
+    _add_out(demo)
     demo.add_argument("--kappa", type=float, default=50.0)
     demo.add_argument("--tau", type=float, default=0.4)
     demo.add_argument("--dipole", type=float, default=1e-22)
@@ -488,9 +468,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "needs_out", False) and not args.out:
         print(f"vdl {args.command}: --out is required", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "threads", 1) < 1:
-        print("vdl: --threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

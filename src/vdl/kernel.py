@@ -31,7 +31,7 @@ Truncation is adaptive against the analytic tail majorant
 with a mandatory minimum of ceil(tau) + 10 terms so the resonance
 structure near m ~ tau is never truncated away.
 
-Everything is pure given (params, policy); sweeps may run concurrently.
+Everything is pure given (params, policy).
 """
 
 from __future__ import annotations
@@ -93,17 +93,14 @@ class SeriesPolicy:
     """Truncation policy for the kernel series.
 
     The stop rule is: at least max(min_terms, ceil(tau) + 10) terms, then
-    stop once the analytic tail majorant drops below tail_bound.
-    resonance_width is the |m - tau| scale below which the regularized
-    Cin path is mandatory; this implementation uses that path for every
-    term (it is algebraically identical and uniformly accurate), which
-    satisfies the mandate trivially.
+    stop once the analytic tail majorant drops below tail_bound.  Every
+    term goes through the regularized Cin path, which is finite at the
+    resonances tau = m and uniformly accurate away from them.
     """
 
     tail_bound: float = 1e-12
     min_terms: int = 32
     max_terms: int = 10 ** 6
-    resonance_width: float = 1e-3
 
     def __post_init__(self):
         if not (self.tail_bound > 0.0):
@@ -112,8 +109,6 @@ class SeriesPolicy:
             raise ValueError("need max_terms >= min_terms >= 1")
         if self.max_terms > _MAX_TERMS_HARD:
             raise ValueError(f"max_terms above {_MAX_TERMS_HARD} not supported")
-        if not (self.resonance_width > 0.0):
-            raise ValueError("resonance_width must be positive")
 
 
 _DEFAULT_POLICY = SeriesPolicy()

@@ -229,10 +229,6 @@ def exponent_general_n(params, spec: QuadratureSpec | None = None) -> float:
     """
     spec = spec or _DEFAULT_SPEC
     n = params.n_switches
-    if n < 2 or n % 2 != 0:
-        raise ValueError(
-            "n_switches must be even and >= 2: the dipole must be off after the last switch"
-        )
     kappa, tau, alpha = params.kappa, params.tau, params.alpha
     _check_budget(1, kappa, tau)
     if tau == 0.0 or alpha == 0.0:

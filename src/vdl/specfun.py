@@ -32,7 +32,6 @@ number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .constants import EULER_GAMMA
 from .errors import ConvergenceError
 
 __all__ = [
-    "EvalAccuracy",
     "cin",
     "ci",
     "angular_kernel_j",
@@ -51,22 +49,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalAccuracy:
-    """Accuracy budget for the iterative branches (continued fraction)."""
-
-    abs_tol: float = 1e-14
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-_DEFAULT_ACCURACY = EvalAccuracy()
-
 # Branch switch for Ci/Cin: power series below, auxiliary functions above.
 # The series converges fast below 4 and the continued fraction is well
 # conditioned above; cross-branch consistency is covered by tests.
@@ -75,6 +57,11 @@ _SERIES_CUTOFF = 4.0
 # Above this the asymptotic series for the auxiliary functions f, g is
 # below double precision at its optimal truncation order.
 _ASYMPTOTIC_CUTOFF = 40.0
+
+# Continued fraction of E1(ix): stop once every Lentz factor is within
+# _CF_TOL of 1; ConvergenceError if that takes more than _CF_MAX_TERMS.
+_CF_TOL = 1e-14
+_CF_MAX_TERMS = 200
 
 # Cin power series coefficients c_k = (-1)^(k+1) / (2k (2k)!), k = 1..24.
 # 24 terms leave a truncation error < 1e-33 at x = 4.
@@ -244,7 +231,7 @@ def _cin_series(x: np.ndarray) -> np.ndarray:
     return acc * t
 
 
-def _aux_fg_cf(x: np.ndarray, accuracy: EvalAccuracy) -> tuple[np.ndarray, np.ndarray]:
+def _aux_fg_cf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Auxiliary functions (f, g) from the continued fraction of E1(ix).
 
     E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))) evaluated with
@@ -256,7 +243,7 @@ def _aux_fg_cf(x: np.ndarray, accuracy: EvalAccuracy) -> tuple[np.ndarray, np.nd
     C = fval.copy()
     D = np.zeros_like(z)
     converged = np.zeros(x.shape, dtype=bool)
-    for i in range(1, accuracy.max_terms + 1):
+    for i in range(1, _CF_MAX_TERMS + 1):
         a = -float(i * i)
         b = z + (2.0 * i + 1.0)
         D = b + a * D
@@ -266,12 +253,12 @@ def _aux_fg_cf(x: np.ndarray, accuracy: EvalAccuracy) -> tuple[np.ndarray, np.nd
         D = 1.0 / D
         delta = C * D
         fval = fval * delta
-        converged |= np.abs(delta - 1.0) < accuracy.abs_tol
+        converged |= np.abs(delta - 1.0) < _CF_TOL
         if np.all(converged):
             break
     if not np.all(converged):
         raise ConvergenceError(
-            f"cosine-integral continued fraction not converged in {accuracy.max_terms} terms"
+            f"cosine-integral continued fraction not converged in {_CF_MAX_TERMS} terms"
         )
     w = 1.0 / fval
     return -w.imag, w.real
@@ -288,26 +275,25 @@ def _aux_fg_asymptotic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f / x, g * t
 
 
-def _ci_large(x: np.ndarray, accuracy: EvalAccuracy) -> np.ndarray:
+def _ci_large(x: np.ndarray) -> np.ndarray:
     """Ci(x) = f(x) sin x - g(x) cos x for x > series cutoff."""
     f = np.empty_like(x)
     g = np.empty_like(x)
     cf_mask = x < _ASYMPTOTIC_CUTOFF
     if np.any(cf_mask):
-        f[cf_mask], g[cf_mask] = _aux_fg_cf(x[cf_mask], accuracy)
+        f[cf_mask], g[cf_mask] = _aux_fg_cf(x[cf_mask])
     if np.any(~cf_mask):
         f[~cf_mask], g[~cf_mask] = _aux_fg_asymptotic(x[~cf_mask])
     return f * np.sin(x) - g * np.cos(x)
 
 
-def cin(x, accuracy: EvalAccuracy | None = None):
+def cin(x):
     """Entire cosine integral Cin(x) for x >= 0.
 
     Cin(x) = sum_{k>=1} (-1)^(k+1) x^(2k) / (2k (2k)!) for small x;
     gamma + ln x - Ci(x) on the large-x branch.  Absolute error is
     below 1e-12 for x <= 1e4.
     """
-    acc = accuracy or _DEFAULT_ACCURACY
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("cin requires finite input")
@@ -321,17 +307,16 @@ def cin(x, accuracy: EvalAccuracy | None = None):
     big = ~small
     if np.any(big):
         xb = arr[big]
-        out[big] = EULER_GAMMA + np.log(xb) - _ci_large(xb, acc)
+        out[big] = EULER_GAMMA + np.log(xb) - _ci_large(xb)
     return float(out[0]) if scalar else out
 
 
-def ci(x, accuracy: EvalAccuracy | None = None):
+def ci(x):
     """Cosine integral Ci(x) for x > 0.
 
     gamma + ln x - cin(x) on the series branch; f sin - g cos with
     asymptotic auxiliary functions on the large-x branch.
     """
-    acc = accuracy or _DEFAULT_ACCURACY
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("ci requires finite input")
@@ -346,7 +331,7 @@ def ci(x, accuracy: EvalAccuracy | None = None):
         out[small] = EULER_GAMMA + np.log(xs) - _cin_series(xs)
     big = ~small
     if np.any(big):
-        out[big] = _ci_large(arr[big], acc)
+        out[big] = _ci_large(arr[big])
     return float(out[0]) if scalar else out
 
 

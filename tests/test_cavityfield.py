@@ -104,8 +104,9 @@ class TestAmplitude:
 
     def test_odd_switch_count_rejected(self):
         grid = make_grid(16)
-        with pytest.raises(ValueError):
-            amplitude((0, 1e4), DipoleProfile("center", 1e-22), T, 3, grid)
+        for k_par in (1e4, 0.0):
+            with pytest.raises(ValueError):
+                amplitude((0, k_par), DipoleProfile("center", 1e-22), T, 3, grid)
 
 
 class TestOverlap:

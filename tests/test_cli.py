@@ -47,7 +47,7 @@ class TestKernelSweep:
         argv = ["kernel-sweep", "--sweep", "tau", "--start", "0", "--stop", "3",
                 "--points", "7", "--alpha", "0.4", "--kappa", "1e6"]
         assert run(argv + ["--out", str(out_a)]) == 0
-        assert run(argv + ["--out", str(out_b), "--threads", "2"]) == 0
+        assert run(argv + ["--out", str(out_b)]) == 0
         _, header_a, rows_a = read_rows(out_a)
         _, header_b, rows_b = read_rows(out_b)
         assert header_a == header_b and rows_a == rows_b
@@ -192,6 +192,17 @@ class TestFigure2:
         d_strong = float(read_rows(out_dir / "figure2_alpha0.5.csv")[2][-1].split(",")[4])
         assert d_weak > d_strong  # weak coupling stays closer to 1
 
+    def test_non_convergent_rows_flagged_run_continues(self, tmp_path):
+        out_dir = tmp_path / "fig2"
+        code = run(["figure2", "--out-dir", str(out_dir), "--points", "3",
+                    "--alphas", "0.5", "--tau-max", "2.0", "--tail-bound", "1e-300"])
+        assert code == 0
+        _, _, rows = read_rows(out_dir / "figure2_alpha0.5.csv")
+        assert len(rows) == 3
+        # as in kernel-sweep: every row is flagged, the curve is still written
+        assert all(r.endswith(",no_convergence") for r in rows)
+        assert all(r.split(",")[3] == "nan" for r in rows)
+
 
 class TestModesDemo:
     def test_center_convergence(self, tmp_path):
@@ -237,7 +248,19 @@ class TestParser:
             run(["transmogrify"])
         assert exc.value.code == 2
 
-    def test_threads_validation(self, tmp_path):
-        assert run(["kernel-sweep", "--sweep", "tau", "--start", "0", "--stop", "1",
-                    "--points", "2", "--threads", "0",
-                    "--out", str(tmp_path / "x.csv")]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["kernel-sweep", "--start", "0", "--stop", "1", "--out", "x.csv",
+         "--threads", "2"],
+        ["kernel-sweep", "--start", "0", "--stop", "1", "--out", "x.csv",
+         "--config", "x.cfg"],
+        ["feasibility", "--tail-bound", "1e-10"],
+        ["oracle-check", "--tail-bound", "1e-10"],
+        ["modes-demo", "--out", "x.csv", "--tail-bound", "1e-10"],
+        ["figure2", "--out", "x.csv"],
+    ], ids=["sweep-threads", "sweep-config", "feasibility-tail-bound",
+            "oracle-tail-bound", "modes-tail-bound", "figure2-out"])
+    def test_flag_not_read_by_command_is_rejected(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2

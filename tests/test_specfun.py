@@ -171,14 +171,9 @@ class TestArgumentReduction:
             specfun.sin_integer_multiples(1.0, np.array([2 ** 21 + 1]))
 
 
-class TestEvalAccuracy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            specfun.EvalAccuracy(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            specfun.EvalAccuracy(max_terms=0)
-
-    def test_tight_budget_raises(self):
+class TestContinuedFraction:
+    def test_tight_budget_raises(self, monkeypatch):
         from vdl.errors import ConvergenceError
+        monkeypatch.setattr(specfun, "_CF_MAX_TERMS", 2)
         with pytest.raises(ConvergenceError):
-            specfun.ci(5.0, specfun.EvalAccuracy(abs_tol=1e-16, max_terms=2))
+            specfun.ci(5.0)
