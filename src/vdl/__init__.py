@@ -16,7 +16,6 @@ from .kernel import (
 )
 from .specfun import angular_kernel_j, ci, cin
 from .modesum import (
-    QuadratureSpec,
     exponent_general_n,
     m0_term,
     radial_integral_m,
@@ -52,7 +51,6 @@ __all__ = [
     "angular_kernel_j",
     "ci",
     "cin",
-    "QuadratureSpec",
     "exponent_general_n",
     "m0_term",
     "radial_integral_m",

@@ -9,8 +9,9 @@ Subcommands::
     vdl modes-demo     grid-simulator convergence study
 
 Every output file starts with a ``#``-commented manifest block (command,
-full parameter echo, constants, version, UTC timestamp) sufficient to
-reproduce the numeric payload byte for byte.  Numbers are written with
+every flag that is set, the values derived from them, constants,
+version, UTC timestamp, Python/numpy/machine) sufficient to reproduce
+the numeric payload byte for byte.  Numbers are written with
 17 significant digits and a locale-independent decimal point.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical
@@ -20,6 +21,7 @@ non-convergence, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,19 +37,21 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# required feasibility configuration key -> (flag that overrides it, unit)
 _CONFIG_KEYS = {
-    "molecule.polarizability": "C m^2/V",
-    "molecule.size": "m",
-    "molecule.velocity": "m/s",
-    "molecule.mass": "kg",
-    "laser.power": "W",
-    "laser.sigma_y": "m",
-    "laser.sigma_z": "m",
-    "laser.period": "m",
-    "cavity.L": "m",
-    "cavity.k_max": "1/m",
+    "molecule.polarizability": ("--polarizability", "C m^2/V"),
+    "molecule.size": ("--size", "m"),
+    "molecule.velocity": ("--velocity", "m/s"),
+    "molecule.mass": ("--mass", "kg"),
+    "laser.power": ("--power", "W"),
+    "laser.sigma_y": ("--sigma-y", "m"),
+    "laser.sigma_z": ("--sigma-z", "m"),
+    "laser.period": ("--period", "m"),
+    "cavity.L": ("--plate-separation", "m"),
+    "cavity.k_max": ("--k-max", "1/m"),
 }
-_OPTIONAL_KEYS = {"run.transit_convention": "sigma | two_sigma"}
+# keys a configuration file may set besides the required ones
+_OPTIONAL_KEYS = ("molecule.name", "run.transit_convention")
 
 
 class UsageError(ValueError):
@@ -58,17 +62,25 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _manifest_lines(command: str, inputs: dict) -> list[str]:
+def _manifest_lines(args, **derived) -> list[str]:
+    """Manifest block: every flag that is set, then the values the
+    command derived from them (``derived`` wins on a shared name)."""
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func") and v is not None}
+    inputs.update(derived)
     lines = [
         f"# vdl {__version__} manifest",
-        f"# command = {command}",
+        f"# command = {args.command}",
         f"# timestamp_utc = {datetime.now(timezone.utc).isoformat()}",
     ]
     for key in sorted(inputs):
-        lines.append(f"# input {key} = {inputs[key]}")
+        value = inputs[key]
+        lines.append(f"# input {key} = {_fmt(value) if isinstance(value, float) else value}")
     lines.append(
         f"# constants c = {_fmt(C_LIGHT)} ; hbar = {_fmt(HBAR)} ; eps0 = {_fmt(EPS0)}"
     )
+    lines.append(f"# platform python = {platform.python_version()} ; "
+                 f"numpy = {np.__version__} ; machine = {platform.machine()}")
     return lines
 
 
@@ -78,7 +90,7 @@ def _write_text(path: Path, lines: list[str]):
 
 
 def parse_config(path: Path) -> dict[str, str]:
-    """Flat ``key = value`` file; '#' starts a comment."""
+    """Flat ``key = value`` file of feasibility keys; '#' starts a comment."""
     values: dict[str, str] = {}
     text = path.read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -88,15 +100,20 @@ def parse_config(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS and key not in _OPTIONAL_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown configuration key {key!r}")
         values[key] = value
     return values
 
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated list of numbers")
+        values = []
+    if not values:
+        raise UsageError(f"{flag} expects a non-empty comma-separated list of numbers")
+    return values
 
 
 def _sweep_values(args) -> np.ndarray:
@@ -136,21 +153,7 @@ def cmd_kernel_sweep(args) -> int:
     values = _sweep_values(args)
     fixed = {"alpha": args.alpha, "kappa": args.kappa, "tau": args.tau}
     points = [{**fixed, args.sweep: float(v)} for v in values]
-    lines = _manifest_lines(
-        "kernel-sweep",
-        {
-            "sweep": args.sweep,
-            "start": _fmt(args.start),
-            "stop": _fmt(args.stop),
-            "points": args.points,
-            "scale": args.scale,
-            "alpha": _fmt(args.alpha),
-            "kappa": _fmt(args.kappa),
-            "tau": _fmt(args.tau),
-            "tail_bound": _fmt(args.tail_bound),
-        },
-    )
-    lines += _curve_lines(
+    lines = _manifest_lines(args) + _curve_lines(
         [(p["alpha"], p["kappa"], p["tau"]) for p in points], args.tail_bound)
     _write_text(Path(args.out), lines)
     print(f"wrote {args.out} ({len(points)} rows)")
@@ -158,10 +161,12 @@ def cmd_kernel_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.m_max < 1:
+        raise UsageError("--m-max must be >= 1")
     kappas = _float_list(args.kappa_grid, "--kappa-grid")
     taus = _float_list(args.tau_grid, "--tau-grid")
     alpha = args.alpha
-    spec = modesum.QuadratureSpec(rel_tol=min(1e-9, args.tolerance / 100.0))
+    rel_tol = min(1e-9, args.tolerance / 100.0)
     rows = []
     worst = 0.0
     failed = False
@@ -172,7 +177,7 @@ def cmd_oracle_check(args) -> int:
                 closed = kernel.kernel_term(m, params)
                 try:
                     quad = 2.0 * alpha ** 2 / np.pi * modesum.radial_integral_m(
-                        m, kappa, tau, spec)
+                        m, kappa, tau, rel_tol=rel_tol)
                 except CapabilityError as exc:
                     rows.append((m, kappa, tau, closed, float("nan"),
                                  float("nan"), f"capability: {exc}"))
@@ -193,17 +198,7 @@ def cmd_oracle_check(args) -> int:
     table.append(f"# worst rel_err = {worst:.3e}")
     print("\n".join(table))
     if args.out:
-        manifest = _manifest_lines(
-            "oracle-check",
-            {
-                "m_max": args.m_max,
-                "kappa_grid": args.kappa_grid,
-                "tau_grid": args.tau_grid,
-                "alpha": _fmt(alpha),
-                "tolerance": _fmt(args.tolerance),
-            },
-        )
-        _write_text(Path(args.out), manifest + table)
+        _write_text(Path(args.out), _manifest_lines(args) + table)
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
@@ -211,28 +206,14 @@ def _load_feasibility_inputs(args):
     raw: dict[str, str] = {}
     if args.config:
         raw.update(parse_config(Path(args.config)))
-    overrides = {
-        "molecule.polarizability": args.polarizability,
-        "molecule.size": args.size,
-        "molecule.velocity": args.velocity,
-        "molecule.mass": args.mass,
-        "laser.power": args.power,
-        "laser.sigma_y": args.sigma_y,
-        "laser.sigma_z": args.sigma_z,
-        "laser.period": args.period,
-        "cavity.L": args.plate_separation,
-        "cavity.k_max": args.k_max,
-        "run.transit_convention": args.transit_convention,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = str(value)
+    # the override flags store under their configuration key
+    for key in (*_CONFIG_KEYS, "run.transit_convention"):
+        if getattr(args, key) is not None:
+            raw[key] = str(getattr(args, key))
     missing = [k for k in _CONFIG_KEYS if k not in raw]
     if missing:
-        raise UsageError(
-            "missing required configuration keys: " + ", ".join(missing)
-            + " (units: " + "; ".join(f"{k} [{u}]" for k, u in _CONFIG_KEYS.items()) + ")"
-        )
+        raise UsageError("missing required configuration keys: " + "; ".join(
+            f"{k} [{_CONFIG_KEYS[k][1]}] or {_CONFIG_KEYS[k][0]}" for k in missing))
     def num(key):
         try:
             return float(raw[key])
@@ -286,7 +267,7 @@ def cmd_feasibility(args) -> int:
         human.append(f"  {name:>26} : {'pass' if ok else 'FAIL'}")
     print("\n".join(human))
     if args.out:
-        lines = _manifest_lines("feasibility", dict(sorted(raw.items())))
+        lines = _manifest_lines(args, **raw)
         lines.append("key,value")
         for name, value in fields.items():
             lines.append(f"{name},{_fmt(value)}")
@@ -298,21 +279,13 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_figure2(args) -> int:
+    if args.points < 2:
+        raise UsageError("--points must be >= 2")
     alphas = _float_list(args.alphas, "--alphas")
     taus = np.linspace(0.0, args.tau_max, args.points)
     out_dir = Path(args.out_dir)
     for alpha in alphas:
-        lines = _manifest_lines(
-            "figure2",
-            {
-                "alpha": _fmt(alpha),
-                "kappa": _fmt(args.kappa),
-                "tau_max": _fmt(args.tau_max),
-                "points": args.points,
-                "tail_bound": _fmt(args.tail_bound),
-            },
-        )
-        lines += _curve_lines(
+        lines = _manifest_lines(args, alpha=alpha) + _curve_lines(
             [(alpha, args.kappa, float(tau)) for tau in taus], args.tail_bound)
         path = out_dir / f"figure2_alpha{alpha:g}.csv"
         _write_text(path, lines)
@@ -323,6 +296,8 @@ def cmd_figure2(args) -> int:
 def cmd_modes_demo(args) -> int:
     if args.kappa > 100.0:
         raise UsageError("modes-demo is a demonstration tool: kappa must be <= 100")
+    if args.m_max < 1:
+        raise UsageError("--m-max must be >= 1")
     grids = [int(g) for g in _float_list(args.grids, "--grids")]
     L = args.plate_separation
     d = args.dipole
@@ -351,19 +326,7 @@ def cmd_modes_demo(args) -> int:
         )
         ov = cavityfield.overlap_excluding_free_space(prof_a, prof_b, T, grid)
         rows.append((g, ov, reference, abs(ov - reference) / reference))
-    lines = _manifest_lines(
-        "modes-demo",
-        {
-            "kappa": _fmt(args.kappa),
-            "tau": _fmt(args.tau),
-            "dipole": _fmt(d),
-            "plate_separation": _fmt(L),
-            "grids": args.grids,
-            "plates": args.plates,
-            "reference": label,
-            "m_max": args.m_max,
-        },
-    )
+    lines = _manifest_lines(args, reference=label)
     lines.append("grid_size,overlap_grid,overlap_reference,rel_dev")
     for g, ov, ref, dev in rows:
         lines.append(f"{g},{_fmt(ov)},{_fmt(ref)},{_fmt(dev)}")
@@ -376,8 +339,8 @@ def cmd_modes_demo(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_out(sub: argparse.ArgumentParser):
-    sub.add_argument("--out", default=None, help="output file path")
+def _add_out(sub: argparse.ArgumentParser, required: bool = False):
+    sub.add_argument("--out", required=required, help="output file path")
 
 
 def _add_tail_bound(sub: argparse.ArgumentParser):
@@ -396,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("kernel-sweep", allow_abbrev=False,
                             help="sweep tau/alpha/kappa, write CSV")
-    _add_out(sweep)
+    _add_out(sweep, required=True)
     _add_tail_bound(sweep)
     sweep.add_argument("--alpha", type=float, default=0.5)
     sweep.add_argument("--kappa", type=float, default=1e8)
@@ -406,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--stop", type=float, required=True)
     sweep.add_argument("--points", type=int, default=1001)
     sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
-    sweep.set_defaults(func=cmd_kernel_sweep, needs_out=True)
+    sweep.set_defaults(func=cmd_kernel_sweep)
 
     oracle = subs.add_parser("oracle-check", allow_abbrev=False,
                              help="closed form vs quadrature identity table")
@@ -416,25 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--tau-grid", default="0.3,0.9,1.7,2.5")
     oracle.add_argument("--alpha", type=float, default=0.3)
     oracle.add_argument("--tolerance", type=float, default=1e-6)
-    oracle.set_defaults(func=cmd_oracle_check, needs_out=False)
+    oracle.set_defaults(func=cmd_oracle_check)
 
     feas = subs.add_parser("feasibility", allow_abbrev=False,
                            help="experimental feasibility report")
     _add_out(feas)
     feas.add_argument("--config", default=None, help="key = value configuration file")
-    feas.add_argument("--polarizability", type=float, default=None)
-    feas.add_argument("--size", type=float, default=None)
-    feas.add_argument("--velocity", type=float, default=None)
-    feas.add_argument("--mass", type=float, default=None)
-    feas.add_argument("--power", type=float, default=None)
-    feas.add_argument("--sigma-y", type=float, default=None)
-    feas.add_argument("--sigma-z", type=float, default=None)
-    feas.add_argument("--period", type=float, default=None)
-    feas.add_argument("--plate-separation", type=float, default=None)
-    feas.add_argument("--k-max", type=float, default=None)
-    feas.add_argument("--transit-convention", choices=feasibility.TRANSIT_CONVENTIONS,
-                      default=None)
-    feas.set_defaults(func=cmd_feasibility, needs_out=False)
+    for key, (flag, unit) in _CONFIG_KEYS.items():
+        feas.add_argument(flag, dest=key, type=float, help=f"overrides {key} [{unit}]")
+    feas.add_argument("--transit-convention", dest="run.transit_convention",
+                      choices=feasibility.TRANSIT_CONVENTIONS)
+    feas.set_defaults(func=cmd_feasibility)
 
     fig2 = subs.add_parser("figure2", allow_abbrev=False,
                            help="kernel vs tau curves at kappa = 1e8")
@@ -445,11 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--points", type=int, default=1001)
     fig2.add_argument("--kappa", type=float, default=1e8)
     fig2.add_argument("--tau-max", type=float, default=5.0)
-    fig2.set_defaults(func=cmd_figure2, needs_out=False)
+    fig2.set_defaults(func=cmd_figure2)
 
     demo = subs.add_parser("modes-demo", allow_abbrev=False,
                            help="grid-simulator convergence study")
-    _add_out(demo)
+    _add_out(demo, required=True)
     demo.add_argument("--kappa", type=float, default=50.0)
     demo.add_argument("--tau", type=float, default=0.4)
     demo.add_argument("--dipole", type=float, default=1e-22)
@@ -458,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--m-max", type=int, default=120)
     demo.add_argument("--plates", action="store_true",
                       help="antisymmetric plates demo instead of the centered one")
-    demo.set_defaults(func=cmd_modes_demo, needs_out=True)
+    demo.set_defaults(func=cmd_modes_demo)
 
     return parser
 
@@ -466,9 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "needs_out", False) and not args.out:
-        print(f"vdl {args.command}: --out is required", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

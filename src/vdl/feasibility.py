@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import C_LIGHT, EPS0, HBAR, dipole_coupling_scale
-from .kernel import DecoherenceResult, DimensionlessParams, SeriesPolicy, decoherence_kernel
+from .kernel import DecoherenceResult, DimensionlessParams, decoherence_kernel
 
 __all__ = [
     "MoleculeSpec",
@@ -234,9 +234,7 @@ def image_charge_assessment(d: float, cavity: CavityConfig, transit_time: float
 
 
 def full_report(molecule: MoleculeSpec, laser: LaserConfig, cavity: CavityConfig,
-                transit_convention: str = "sigma",
-                alpha_crit: float = DEFAULT_ALPHA_CRIT,
-                policy: SeriesPolicy | None = None) -> FeasibilityReport:
+                transit_convention: str = "sigma") -> FeasibilityReport:
     """Chain field -> dipole -> alpha -> tau -> kernel -> verdicts.
 
     The switched-off dipole is taken as exactly zero outside the grating
@@ -252,9 +250,9 @@ def full_report(molecule: MoleculeSpec, laser: LaserConfig, cavity: CavityConfig
     if transit_convention == "two_sigma":
         transit *= 2.0
     tau = C_LIGHT * transit / cavity.plate_separation
-    result = decoherence_kernel(DimensionlessParams(alpha, cavity.kappa, tau), policy)
+    result = decoherence_kernel(DimensionlessParams(alpha, cavity.kappa, tau))
     loss = 1.0 - result.kernel
-    threshold = dipole_threshold(alpha_crit, cavity)
+    threshold = dipole_threshold(DEFAULT_ALPHA_CRIT, cavity)
     sudden_ok, size_ratio, velocity_ratio = suddenness_check(molecule, cavity)
     q, tau_d, image_ok = image_charge_assessment(dipole, cavity, transit)
     verdicts = {

@@ -34,7 +34,6 @@ the cutoff-insensitivity of the closed form covers the physical regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .errors import CapabilityError, ConvergenceError
 from .specfun import angular_kernel_j, cos_product, sin_product
 
 __all__ = [
-    "QuadratureSpec",
     "OSCILLATION_BUDGET",
     "radial_integral_m",
     "m0_term",
@@ -58,32 +56,17 @@ OSCILLATION_BUDGET = 1e6
 # hard cap on the image-sum length in exponent_general_n
 _MSUM_CAP = 4096
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for the adaptive panel quadrature.
-
-    abs_tol doubles as the truncation threshold of the image sum in
-    ``exponent_general_n``; it cannot be pushed much below ~1e-12
-    because the per-integral values bottom out at the quadrature noise
-    floor rel_tol * (integrand mass).
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
-    max_subdivisions: int = 12
-    panels_per_oscillation: int = 4
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.panels_per_oscillation < 4:
-            raise ValueError("panels_per_oscillation must be >= 4")
-
-
-_DEFAULT_SPEC = QuadratureSpec()
+# default relative quadrature tolerance
+_REL_TOL = 1e-9
+# Absolute quadrature tolerance, which doubles as the truncation
+# threshold of the image sum in exponent_general_n; it cannot be pushed
+# much below ~1e-12 because the per-integral values bottom out at the
+# quadrature noise floor rel_tol * (integrand mass).
+_ABS_TOL = 1e-11
+# panel doublings before the quadrature gives up
+_MAX_SUBDIVISIONS = 12
+# initial panel density over the fastest phase
+_PANELS_PER_OSCILLATION = 4
 
 # 10-point Gauss-Legendre reference rule; one panel per quarter
 # oscillation at the default density already integrates each cycle to
@@ -107,40 +90,41 @@ def _gl_composite(f, kappa: float, n: int) -> float:
     return half * float(np.sum(f(q) @ _GL_WEIGHTS))
 
 
-def _panel_quadrature(f, kappa: float, fastest: float, spec: QuadratureSpec):
+def _panel_quadrature(f, kappa: float, fastest: float, rel_tol: float):
     """Integrate f over [0, kappa] with composite Gauss-Legendre panels.
 
-    The returned value always satisfies the panels_per_oscillation
+    The returned value always satisfies the _PANELS_PER_OSCILLATION
     density mandate; the embedded error estimate compares against the
     next-coarser level (conservative, since the fine level is orders of
     magnitude better), and the panel count doubles until the estimate
-    meets rel_tol * |I| + abs_tol.
+    meets rel_tol * |I| + _ABS_TOL.
     """
     cycles = kappa * max(fastest, 1e-30) / (2.0 * math.pi)
-    n = max(8, int(math.ceil(cycles * spec.panels_per_oscillation)))
+    n = max(8, int(math.ceil(cycles * _PANELS_PER_OSCILLATION)))
     coarse = _gl_composite(f, kappa, max(4, n // 2))
-    for _ in range(spec.max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         val = _gl_composite(f, kappa, n)
         err = abs(val - coarse)
-        if err <= spec.rel_tol * abs(val) + spec.abs_tol:
+        if err <= rel_tol * abs(val) + _ABS_TOL:
             return val, err
         coarse = val
         n *= 2
     raise ConvergenceError(
-        f"panel quadrature did not meet tol within {spec.max_subdivisions} doublings",
+        f"panel quadrature did not meet tol within {_MAX_SUBDIVISIONS} doublings",
         partial=val,
         error_estimate=err,
     )
 
 
-def radial_integral_m(m: int, kappa: float, tau: float,
-                      spec: QuadratureSpec | None = None) -> float:
+def radial_integral_m(m: int, kappa: float, tau: float, *,
+                      rel_tol: float = _REL_TOL) -> float:
     """I_m = int_0^kappa dq q sin^2(q tau / 2) J(m q) by adaptive quadrature.
 
-    Estimated relative error <= spec.rel_tol; panel density resolves both
-    phases m*q and q*tau.
+    Estimated error <= rel_tol * |I_m| + 1e-11; panel density resolves
+    both phases m*q and q*tau.
     """
-    spec = spec or _DEFAULT_SPEC
+    if not (rel_tol > 0.0):
+        raise ValueError("rel_tol must be positive")
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
     if tau < 0.0 or not math.isfinite(tau):
@@ -155,7 +139,7 @@ def radial_integral_m(m: int, kappa: float, tau: float,
     def integrand(q):
         return q * np.sin(q * tau / 2.0) ** 2 * angular_kernel_j(m * q)
 
-    val, _ = _panel_quadrature(integrand, kappa, max(float(m), tau), spec)
+    val, _ = _panel_quadrature(integrand, kappa, max(float(m), tau), rel_tol)
     return val
 
 
@@ -214,20 +198,19 @@ def _switch_ratio(theta, n_switches: int):
     return np.sin(theta) * v
 
 
-def exponent_general_n(params, spec: QuadratureSpec | None = None) -> float:
+def exponent_general_n(params) -> float:
     """Decoherence exponent for a general even switch count N, by quadrature.
 
     Gamma^(N) = (alpha^2/pi) sum_{m != 0} int_0^kappa dq q (1/4)
                 sin^2(N q tau / 2) / cos^2(q tau / 2) J(m q),
 
     truncating the m sum once the last two contributions fall below
-    spec.abs_tol (the contributions share the 1/m^3-or-faster envelope
+    _ABS_TOL (the contributions share the 1/m^3-or-faster envelope
     of the closed-form series).  For N = 2 this reduces algebraically
     to the N = 2 exponent sum (2 alpha^2/pi) sum I_m, which the tests
     assert.  Raises ConvergenceError if the threshold is still unmet
     after _MSUM_CAP image terms.
     """
-    spec = spec or _DEFAULT_SPEC
     n = params.n_switches
     kappa, tau, alpha = params.kappa, params.tau, params.alpha
     _check_budget(1, kappa, tau)
@@ -249,17 +232,17 @@ def exponent_general_n(params, spec: QuadratureSpec | None = None) -> float:
         m += 1
         if m > _MSUM_CAP:
             raise ConvergenceError(
-                f"image sum not below abs_tol = {spec.abs_tol:.1e} within "
+                f"image sum not below abs_tol = {_ABS_TOL:.1e} within "
                 f"{_MSUM_CAP} terms; the per-term quadrature noise floor is "
                 "likely above the requested threshold",
                 partial=prefactor * total,
                 error_estimate=max(last_two) if last_two else float("nan"),
             )
         _check_budget(m, kappa, tau)
-        val, _ = _panel_quadrature(integrand_for(m), kappa, max(float(m), tau), spec)
+        val, _ = _panel_quadrature(integrand_for(m), kappa, max(float(m), tau), _REL_TOL)
         contribution = prefactor * 2.0 * val  # m and -m
         total += 2.0 * val
         last_two = (last_two + [abs(contribution)])[-2:]
-        if len(last_two) == 2 and all(v < spec.abs_tol for v in last_two):
+        if len(last_two) == 2 and all(v < _ABS_TOL for v in last_two):
             break
     return prefactor * total

@@ -252,7 +252,9 @@ def _aux_fg_cf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         C = np.where(C == 0, 1e-300, C)
         D = 1.0 / D
         delta = C * D
-        fval = fval * delta
+        # an element keeps its value once converged, so it does not
+        # depend on which slower elements share the batch
+        fval = np.where(converged, fval, fval * delta)
         converged |= np.abs(delta - 1.0) < _CF_TOL
         if np.all(converged):
             break

@@ -236,7 +236,8 @@ def test_acceptance_9_special_function_floor():
 def test_acceptance_10_trivial_invariants():
     def body():
         rng = np.random.default_rng(2026)
-        fixed = SeriesPolicy(min_terms=400, max_terms=400, tail_bound=1e300)
+        # both alphas sum exactly max(32, ceil(tau) + 10) terms
+        fixed = SeriesPolicy(tail_bound=1e300)
         for _ in range(100):
             kappa = float(10 ** rng.uniform(math.log10(50.0), 8.0))
             tau = float(rng.uniform(0.0, 20.0))

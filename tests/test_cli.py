@@ -35,6 +35,10 @@ class TestKernelSweep:
         manifest, header, rows = read_rows(out)
         assert header == "tau,alpha,kappa,gamma,D,status"
         assert any("command = kernel-sweep" in ln for ln in manifest)
+        assert f"# input out = {out}" in manifest
+        assert "# input tail_bound = 9.9999999999999998e-13" in manifest
+        assert any(ln.startswith("# platform python = ") and " ; numpy = " in ln
+                   and " ; machine = " in ln for ln in manifest)
         first = rows[0].split(",")
         last = rows[1].split(",")
         assert float(first[4]) == 1.0
@@ -73,8 +77,9 @@ class TestKernelSweep:
         assert len(digits.split("e")[0]) >= 16
 
     def test_missing_out_is_usage_error(self):
-        assert run(["kernel-sweep", "--sweep", "tau", "--start", "0",
-                    "--stop", "1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["kernel-sweep", "--sweep", "tau", "--start", "0", "--stop", "1"])
+        assert exc.value.code == 2
 
     def test_bad_range_is_usage_error(self):
         assert run(["kernel-sweep", "--sweep", "tau", "--start", "2", "--stop", "1",
@@ -170,6 +175,14 @@ class TestFeasibilityCommand:
         out = capsys.readouterr().out
         assert "dipole_C_m = 0" in out
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        text = bundled_config("na_cluster.cfg").read_text()
+        typo = tmp_path / "typo.cfg"
+        typo.write_text(text.replace("run.transit_convention   = sigma",
+                                     "run.transit_conventon = two_sigma"))
+        assert run(["feasibility", "--config", str(typo)]) == 2
+        assert "run.transit_conventon" in capsys.readouterr().err
+
     def test_nonphysical_value_rejected(self, capsys):
         code = run(["feasibility", "--config", str(bundled_config("na_cluster.cfg")),
                     "--plate-separation", "-1"])
@@ -264,3 +277,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--m-max", "0", "--out", "x.txt"],
+        ["oracle-check", "--kappa-grid", "", "--out", "x.txt"],
+        ["oracle-check", "--tau-grid", "", "--out", "x.txt"],
+        ["figure2", "--points", "1"],
+        ["figure2", "--alphas", ""],
+        ["modes-demo", "--grids", "", "--out", "x.csv"],
+        ["modes-demo", "--m-max", "0", "--out", "x.csv"],
+    ], ids=["oracle-m-max", "oracle-kappa-grid", "oracle-tau-grid", "figure2-points",
+            "figure2-alphas", "modes-grids", "modes-m-max"])
+    def test_empty_input_is_usage_error(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert not any(tmp_path.iterdir())

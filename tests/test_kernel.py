@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vdl import modesum, specfun
+from vdl import kernel, modesum, specfun
 from vdl.constants import C_LIGHT, EULER_GAMMA, dipole_coupling_scale
 from vdl.errors import ConvergenceError
 from vdl.kernel import (
@@ -50,10 +51,6 @@ class TestValidation:
     def test_policy(self):
         with pytest.raises(ValueError):
             SeriesPolicy(tail_bound=0.0)
-        with pytest.raises(ValueError):
-            SeriesPolicy(min_terms=10, max_terms=5)
-        with pytest.raises(ValueError):
-            SeriesPolicy(max_terms=2 ** 22)
 
     def test_kernel_term_rejects_bad_m(self):
         p = DimensionlessParams(0.5, 1e8, 1.0)
@@ -127,11 +124,11 @@ class TestDecoherenceKernel:
 
     def test_max_terms_below_mandatory_minimum(self):
         with pytest.raises(ValueError):
-            decoherence_kernel(DimensionlessParams(0.5, 1e8, 100.0),
-                               SeriesPolicy(min_terms=4, max_terms=50))
+            decoherence_kernel(DimensionlessParams(0.5, 1e8, 2e6))
 
-    def test_non_convergence_carries_partial(self):
-        policy = SeriesPolicy(tail_bound=1e-30, min_terms=16, max_terms=64)
+    def test_non_convergence_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(SeriesPolicy, "max_terms", 64)
+        policy = SeriesPolicy(tail_bound=1e-30)
         with pytest.raises(ConvergenceError) as err:
             decoherence_kernel(DimensionlessParams(0.5, 1e8, 2.0), policy)
         assert 0.0 < err.value.partial < 10.0
@@ -243,7 +240,8 @@ class TestKernelAtPlates:
 class TestScaling:
     def test_alpha_squared_scaling_fixed_terms(self):
         rng = np.random.default_rng(5)
-        policy = SeriesPolicy(min_terms=500, max_terms=500, tail_bound=1e300)
+        # both alphas sum exactly max(32, ceil(tau) + 10) terms
+        policy = SeriesPolicy(tail_bound=1e300)
         for _ in range(20):
             alpha = float(rng.uniform(0.05, 0.7))
             c = float(rng.uniform(0.1, 3.0))
@@ -253,3 +251,18 @@ class TestScaling:
             g2 = decoherence_kernel(DimensionlessParams(c * alpha, kappa, tau), policy).gamma
             if g1 != 0.0:
                 assert g2 / g1 == pytest.approx(c * c, rel=5e-15)
+
+
+class TestTailMajorant:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(log_kappa=st.floats(-2.0, 8.0), tau=st.floats(0.0, 1e3),
+           doublings=st.integers(0, 3))
+    def test_bounds_true_tail(self, log_kappa, tau, doublings):
+        """The stop rule's majorant after M terms covers the next 15 M terms
+        at every M the doubling schedule can stop at."""
+        kappa = 10.0 ** log_kappa
+        M = max(SeriesPolicy.min_terms, math.ceil(tau) + 10) * 2 ** doublings
+        m = np.arange(M + 1, 16 * M + 1, dtype=np.float64)
+        sin_half_sq = specfun.sin_product(kappa, 0.5 * tau) ** 2
+        tail = np.abs(kernel._term_base(m, kappa, tau, sin_half_sq)).sum()
+        assert tail <= kernel._tail_majorant(1.0, kappa, tau, M)

@@ -59,11 +59,11 @@ class TestRadialIntegral:
         with pytest.raises(CapabilityError):
             modesum.radial_integral_m(2000, 1000.0, 0.5)
 
-    def test_tolerance_not_met(self):
-        spec = modesum.QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300,
-                                      max_subdivisions=1)
+    def test_tolerance_not_met(self, monkeypatch):
+        monkeypatch.setattr(modesum, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(modesum, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(ConvergenceError) as err:
-            modesum.radial_integral_m(1, 50.0, 0.4, spec)
+            modesum.radial_integral_m(1, 50.0, 0.4, rel_tol=1e-300)
         assert math.isfinite(err.value.partial)
         assert math.isfinite(err.value.error_estimate)
 
@@ -173,17 +173,14 @@ class TestExponentGeneralN:
 
     def test_image_sum_cap(self, monkeypatch):
         monkeypatch.setattr(modesum, "_MSUM_CAP", 4)
-        spec = modesum.QuadratureSpec(abs_tol=1e-300)
+        monkeypatch.setattr(modesum, "_ABS_TOL", 1e-300)
         with pytest.raises(ConvergenceError) as err:
-            modesum.exponent_general_n(DimensionlessParams(0.1, 50.0, 0.4, 2), spec)
+            modesum.exponent_general_n(DimensionlessParams(0.1, 50.0, 0.4, 2))
         assert err.value.partial > 0.0
 
 
-class TestQuadratureSpec:
+class TestRelTol:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            modesum.QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            modesum.QuadratureSpec(panels_per_oscillation=3)
-        with pytest.raises(ValueError):
-            modesum.QuadratureSpec(max_subdivisions=0)
+        for rel_tol in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                modesum.radial_integral_m(1, 50.0, 0.4, rel_tol=rel_tol)

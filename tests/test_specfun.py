@@ -177,3 +177,10 @@ class TestContinuedFraction:
         monkeypatch.setattr(specfun, "_CF_MAX_TERMS", 2)
         with pytest.raises(ConvergenceError):
             specfun.ci(5.0)
+
+    def test_batch_does_not_change_elements(self):
+        # 4.0001 needs the most continued-fraction terms, so it keeps the
+        # batch iterating after every other element has converged
+        x = np.append(np.linspace(4.01, 39.9, 200), 4.0001)
+        for f in (specfun.ci, specfun.cin):
+            assert np.array_equal(f(x), [f(v) for v in x])
