@@ -163,6 +163,8 @@ def cmd_kernel_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.m_max < 1:
         raise UsageError("--m-max must be >= 1")
+    if not 0.0 < args.tolerance < float("inf"):
+        raise UsageError("--tolerance must be finite and > 0")
     kappas = _float_list(args.kappa_grid, "--kappa-grid")
     taus = _float_list(args.tau_grid, "--tau-grid")
     alpha = args.alpha
@@ -296,9 +298,9 @@ def cmd_figure2(args) -> int:
 def cmd_modes_demo(args) -> int:
     if args.kappa > 100.0:
         raise UsageError("modes-demo is a demonstration tool: kappa must be <= 100")
-    if args.m_max < 1:
-        raise UsageError("--m-max must be >= 1")
-    grids = [int(g) for g in _float_list(args.grids, "--grids")]
+    grids = _float_list(args.grids, "--grids")
+    if not all(g.is_integer() for g in grids):
+        raise UsageError("--grids expects integer grid sizes")
     L = args.plate_separation
     d = args.dipole
     T = args.tau * L / C_LIGHT
@@ -311,15 +313,12 @@ def cmd_modes_demo(args) -> int:
         prof_a = cavityfield.DipoleProfile("center", 0.0)
         prof_b = cavityfield.DipoleProfile("center", d)
         alpha = abs(d) / dipole_coupling_scale(L)
-        gamma = alpha ** 2 / np.pi * sum(
-            2.0 * modesum.radial_integral_m(m, args.kappa, args.tau)
-            for m in range(1, args.m_max + 1)
-        )
-        reference = float(np.exp(-gamma))
+        reference = float(np.exp(-modesum.exponent_general_n(
+            kernel.DimensionlessParams(alpha, args.kappa, args.tau))))
         label = "modesum"
     n_cavity = int(np.ceil(args.kappa / np.pi))
     rows = []
-    for g in grids:
+    for g in map(int, grids):
         grid = cavityfield.ModeGrid(
             n_max=max(g, n_cavity), k_par_max=args.kappa / L,
             k_par_points=g, L=L,
@@ -410,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--dipole", type=float, default=1e-22)
     demo.add_argument("--plate-separation", type=float, default=1e-3)
     demo.add_argument("--grids", default="50,100,200,400")
-    demo.add_argument("--m-max", type=int, default=120)
     demo.add_argument("--plates", action="store_true",
                       help="antisymmetric plates demo instead of the centered one")
     demo.set_defaults(func=cmd_modes_demo)

@@ -21,7 +21,9 @@ sin^2(N omega T / 2) / cos^2(omega T / 2) replaces 4 sin^2(omega T / 2).
 Its removable singularities at cos(omega T / 2) = 0 are evaluated
 through the Chebyshev identity sin(N theta) = sin(theta) U_{N-1}(cos
 theta): for even N the ratio U_{N-1}(c)/c is a polynomial in c^2, so no
-0/0 ever forms.
+0/0 ever forms.  The sum over images m of J(m q) has a closed form in
+periodic Bernoulli polynomials, so ``exponent_general_n`` is a single
+integral over q with no truncated sum.
 
 Quadrature is panel Gauss-Legendre with panel doubling and an embedded
 error estimate; the initial panel density resolves the fastest phase
@@ -38,7 +40,8 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError
-from .specfun import angular_kernel_j, cos_product, sin_product
+from .specfun import (_TWO_PI_HI, _TWO_PI_LO, angular_kernel_j, cos_product,
+                      sin_product)
 
 __all__ = [
     "OSCILLATION_BUDGET",
@@ -53,15 +56,11 @@ __all__ = [
 # and the caller should use the closed form instead.
 OSCILLATION_BUDGET = 1e6
 
-# hard cap on the image-sum length in exponent_general_n
-_MSUM_CAP = 4096
-
 # default relative quadrature tolerance
 _REL_TOL = 1e-9
-# Absolute quadrature tolerance, which doubles as the truncation
-# threshold of the image sum in exponent_general_n; it cannot be pushed
-# much below ~1e-12 because the per-integral values bottom out at the
-# quadrature noise floor rel_tol * (integrand mass).
+# Absolute quadrature tolerance; it cannot be pushed much below ~1e-12
+# because the integrals bottom out at the quadrature noise floor
+# rel_tol * (integrand mass).
 _ABS_TOL = 1e-11
 # panel doublings before the quadrature gives up
 _MAX_SUBDIVISIONS = 12
@@ -83,27 +82,33 @@ def _check_budget(m: int, kappa: float, tau: float):
         )
 
 
-def _gl_composite(f, kappa: float, n: int) -> float:
-    edges = np.linspace(0.0, kappa, n + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    q = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GL_NODES[None, :]
-    return half * float(np.sum(f(q) @ _GL_WEIGHTS))
+def _gl_composite(f, breaks: np.ndarray, n: int) -> float:
+    """n equal Gauss-Legendre panels on each segment between breaks."""
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    # np.linspace's arithmetic per segment, without its per-call overhead
+    edges = lo + np.arange(n + 1) * ((hi - lo) / n)
+    edges[:, -1] = hi[:, 0]
+    half = 0.5 * (edges[:, 1] - edges[:, 0])
+    q = (0.5 * (edges[:, 1:] + edges[:, :-1]))[..., None] + half[:, None, None] * _GL_NODES
+    return float(half @ np.sum(f(q) @ _GL_WEIGHTS, axis=-1))
 
 
-def _panel_quadrature(f, kappa: float, fastest: float, rel_tol: float):
-    """Integrate f over [0, kappa] with composite Gauss-Legendre panels.
+def _panel_quadrature(f, breaks: np.ndarray, fastest: float, rel_tol: float):
+    """Integrate f from breaks[0] to breaks[-1] with composite Gauss-Legendre
+    panels, the same number on each segment between consecutive breaks.
 
     The returned value always satisfies the _PANELS_PER_OSCILLATION
-    density mandate; the embedded error estimate compares against the
-    next-coarser level (conservative, since the fine level is orders of
-    magnitude better), and the panel count doubles until the estimate
-    meets rel_tol * |I| + _ABS_TOL.
+    density mandate on the longest segment; the embedded error estimate
+    compares against the next-coarser level (conservative, since the
+    fine level is orders of magnitude better), and the panel count
+    doubles until the estimate meets rel_tol * |I| + _ABS_TOL.
     """
-    cycles = kappa * max(fastest, 1e-30) / (2.0 * math.pi)
+    width = float((breaks[1:] - breaks[:-1]).max())
+    cycles = width * max(fastest, 1e-30) / (2.0 * math.pi)
     n = max(8, int(math.ceil(cycles * _PANELS_PER_OSCILLATION)))
-    coarse = _gl_composite(f, kappa, max(4, n // 2))
+    coarse = _gl_composite(f, breaks, max(4, n // 2))
     for _ in range(_MAX_SUBDIVISIONS):
-        val = _gl_composite(f, kappa, n)
+        val = _gl_composite(f, breaks, n)
         err = abs(val - coarse)
         if err <= rel_tol * abs(val) + _ABS_TOL:
             return val, err
@@ -139,7 +144,8 @@ def radial_integral_m(m: int, kappa: float, tau: float, *,
     def integrand(q):
         return q * np.sin(q * tau / 2.0) ** 2 * angular_kernel_j(m * q)
 
-    val, _ = _panel_quadrature(integrand, kappa, max(float(m), tau), rel_tol)
+    val, _ = _panel_quadrature(integrand, np.array([0.0, kappa]), max(float(m), tau),
+                               rel_tol)
     return val
 
 
@@ -198,18 +204,36 @@ def _switch_ratio(theta, n_switches: int):
     return np.sin(theta) * v
 
 
+def _image_sum_j(q):
+    """S(q) = sum_{m>=1} J(m q) for q > 0, in closed form.
+
+    S = 4 [Sl_3(q) / q^3 - Sl_2(q) / q^2], with the Clausen functions
+    Sl_3 = t (t - pi) (t - 2 pi) / 12 and Sl_2 = P(t) = pi^2/6 - pi t/2
+    + t^2/4 of t = q mod 2 pi (DLMF 24.8(i), 25.12).  Written with
+    q = 2 pi k + t, the 1/q^2 parts cancel exactly (S = pi/q - 2/3 below
+    2 pi); t is reduced against 2 pi split into two doubles.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    t_hi = np.fmod(q, _TWO_PI_HI)
+    k = np.rint((q - t_hi) / _TWO_PI_HI)
+    t = t_hi - k * _TWO_PI_LO
+    below = t < 0.0  # q lies just under the true 2 pi k
+    k, t = k - below, np.where(below, t + _TWO_PI_HI, t)
+    p = math.pi ** 2 / 6.0 - t * (math.pi / 2.0 - t / 4.0)
+    return 4.0 * ((t / q) ** 2 * (math.pi / 4.0 - t / 6.0) - 2.0 * math.pi * k * p / q / q) / q
+
+
 def exponent_general_n(params) -> float:
     """Decoherence exponent for a general even switch count N, by quadrature.
 
     Gamma^(N) = (alpha^2/pi) sum_{m != 0} int_0^kappa dq q (1/4)
                 sin^2(N q tau / 2) / cos^2(q tau / 2) J(m q),
 
-    truncating the m sum once the last two contributions fall below
-    _ABS_TOL (the contributions share the 1/m^3-or-faster envelope
-    of the closed-form series).  For N = 2 this reduces algebraically
+    with the image sum over m in closed form (_image_sum_j), so nothing
+    is truncated: one Gauss-Legendre quadrature, with panel edges at the
+    kinks q = 2 pi k of that sum.  For N = 2 this reduces algebraically
     to the N = 2 exponent sum (2 alpha^2/pi) sum I_m, which the tests
-    assert.  Raises ConvergenceError if the threshold is still unmet
-    after _MSUM_CAP image terms.
+    assert.  The only ConvergenceError is the quadrature's own.
     """
     n = params.n_switches
     kappa, tau, alpha = params.kappa, params.tau, params.alpha
@@ -217,32 +241,9 @@ def exponent_general_n(params) -> float:
     if tau == 0.0 or alpha == 0.0:
         return 0.0
 
-    def integrand_for(m):
-        def integrand(q):
-            fn = _switch_ratio(q * tau / 2.0, n) ** 2
-            return q * 0.25 * fn * angular_kernel_j(m * q)
+    def integrand(q):
+        return q * 0.25 * _switch_ratio(q * tau / 2.0, n) ** 2 * _image_sum_j(q)
 
-        return integrand
-
-    prefactor = alpha ** 2 / math.pi
-    total = 0.0
-    last_two: list[float] = []
-    m = 0
-    while True:
-        m += 1
-        if m > _MSUM_CAP:
-            raise ConvergenceError(
-                f"image sum not below abs_tol = {_ABS_TOL:.1e} within "
-                f"{_MSUM_CAP} terms; the per-term quadrature noise floor is "
-                "likely above the requested threshold",
-                partial=prefactor * total,
-                error_estimate=max(last_two) if last_two else float("nan"),
-            )
-        _check_budget(m, kappa, tau)
-        val, _ = _panel_quadrature(integrand_for(m), kappa, max(float(m), tau), _REL_TOL)
-        contribution = prefactor * 2.0 * val  # m and -m
-        total += 2.0 * val
-        last_two = (last_two + [abs(contribution)])[-2:]
-        if len(last_two) == 2 and all(v < _ABS_TOL for v in last_two):
-            break
-    return prefactor * total
+    breaks = np.append(np.arange(0.0, kappa, 2.0 * math.pi), kappa)
+    val, _ = _panel_quadrature(integrand, breaks, (n - 1) * tau, _REL_TOL)
+    return 2.0 * alpha ** 2 / math.pi * val

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from vdl import cli
+from vdl.constants import dipole_coupling_scale
+from vdl.kernel import DimensionlessParams, decoherence_kernel
 
 
 def run(argv):
@@ -221,7 +223,7 @@ class TestModesDemo:
     def test_center_convergence(self, tmp_path):
         out = tmp_path / "demo.csv"
         code = run(["modes-demo", "--kappa", "30", "--tau", "0.4",
-                    "--grids", "40,80,160", "--m-max", "80", "--out", str(out)])
+                    "--grids", "40,80,160", "--out", str(out)])
         assert code == 0
         _, header, rows = read_rows(out)
         assert header == "grid_size,overlap_grid,overlap_reference,rel_dev"
@@ -231,11 +233,21 @@ class TestModesDemo:
     def test_zero_dipole_overlap_is_one(self, tmp_path):
         out = tmp_path / "zero.csv"
         code = run(["modes-demo", "--kappa", "30", "--tau", "0.4", "--dipole", "0",
-                    "--grids", "20,40", "--m-max", "10", "--out", str(out)])
+                    "--grids", "20,40", "--out", str(out)])
         assert code == 0
         _, _, rows = read_rows(out)
         for row in rows:
             assert float(row.split(",")[1]) == 1.0
+
+    def test_center_reference_is_closed_form(self, tmp_path):
+        # the image sum is exact, so the reference is the kernel itself
+        out = tmp_path / "demo.csv"
+        assert run(["modes-demo", "--kappa", "30", "--tau", "0.4",
+                    "--grids", "20", "--out", str(out)]) == 0
+        _, _, rows = read_rows(out)
+        alpha = 1e-22 / dipole_coupling_scale(1e-3)  # the --dipole and L defaults
+        gamma = decoherence_kernel(DimensionlessParams(alpha, 30.0, 0.4)).gamma
+        assert float(rows[0].split(",")[2]) == pytest.approx(math.exp(-gamma), rel=1e-12)
 
     def test_plates_demo_matches_closed_form(self, tmp_path):
         out = tmp_path / "plates.csv"
@@ -269,9 +281,12 @@ class TestParser:
         ["feasibility", "--tail-bound", "1e-10"],
         ["oracle-check", "--tail-bound", "1e-10"],
         ["modes-demo", "--out", "x.csv", "--tail-bound", "1e-10"],
+        ["modes-demo", "--out", "x.csv", "--m-max", "80"],
+        ["modes-demo", "--out", "x.csv", "--plates", "--m-max", "80"],
         ["figure2", "--out", "x.csv"],
     ], ids=["sweep-threads", "sweep-config", "feasibility-tail-bound",
-            "oracle-tail-bound", "modes-tail-bound", "figure2-out"])
+            "oracle-tail-bound", "modes-tail-bound", "modes-m-max", "modes-plates-m-max",
+            "figure2-out"])
     def test_flag_not_read_by_command_is_rejected(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -282,12 +297,16 @@ class TestParser:
         ["oracle-check", "--m-max", "0", "--out", "x.txt"],
         ["oracle-check", "--kappa-grid", "", "--out", "x.txt"],
         ["oracle-check", "--tau-grid", "", "--out", "x.txt"],
+        ["oracle-check", "--tolerance", "nan", "--out", "x.txt"],
+        ["oracle-check", "--tolerance", "inf", "--out", "x.txt"],
+        ["oracle-check", "--tolerance", "-1", "--out", "x.txt"],
         ["figure2", "--points", "1"],
         ["figure2", "--alphas", ""],
         ["modes-demo", "--grids", "", "--out", "x.csv"],
-        ["modes-demo", "--m-max", "0", "--out", "x.csv"],
-    ], ids=["oracle-m-max", "oracle-kappa-grid", "oracle-tau-grid", "figure2-points",
-            "figure2-alphas", "modes-grids", "modes-m-max"])
+        ["modes-demo", "--grids", "20.9,40.2", "--out", "x.csv"],
+    ], ids=["oracle-m-max", "oracle-kappa-grid", "oracle-tau-grid", "oracle-tolerance-nan",
+            "oracle-tolerance-inf", "oracle-tolerance-negative", "figure2-points",
+            "figure2-alphas", "modes-grids", "modes-grids-fraction"])
     def test_empty_input_is_usage_error(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2

@@ -50,7 +50,7 @@ CASES = {
                  "--alphas", "0.1,0.5", "--tau-max", "2.0"],
                 ["figure2_alpha0.1.csv", "figure2_alpha0.5.csv"]),
     "modes_demo_center": (["modes-demo", "--kappa", "30", "--tau", "0.4",
-                           "--grids", "20,40", "--m-max", "20", "--out", "{out}"], None),
+                           "--grids", "20,40", "--out", "{out}"], None),
     "modes_demo_plates": (["modes-demo", "--kappa", "30", "--tau", "0.4", "--plates",
                            "--grids", "20,40", "--out", "{out}"], None),
 }

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vdl import modesum
 from vdl.errors import CapabilityError, ConvergenceError
-from vdl.kernel import DimensionlessParams
+from vdl.kernel import DimensionlessParams, SeriesPolicy, decoherence_kernel
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -154,9 +156,17 @@ class TestExponentGeneralN:
     def test_zero_tau(self):
         assert modesum.exponent_general_n(DimensionlessParams(0.1, 50.0, 0.0, 4)) == 0.0
 
-    def test_n4_finite(self):
-        val = modesum.exponent_general_n(DimensionlessParams(0.1, 50.0, 0.4, 4))
-        assert math.isfinite(val) and val > 0.0
+    @pytest.mark.parametrize("kappa, tau", [(50.0, 0.4), (200.0, 1.3)])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_two_switch_identity(self, n, kappa, tau):
+        # Gamma^(N)(tau) = sum_{k=1}^{N-1} (-1)^(k+1) (N-k) Gamma^(2)(k tau),
+        # with Gamma^(2) from the closed-form series
+        alpha = 0.1
+        policy = SeriesPolicy(tail_bound=1e-15)
+        ref = sum((-1) ** (k + 1) * (n - k) * decoherence_kernel(
+            DimensionlessParams(alpha, kappa, k * tau), policy).gamma for k in range(1, n))
+        got = modesum.exponent_general_n(DimensionlessParams(alpha, kappa, tau, n))
+        assert got == pytest.approx(ref, rel=1e-10)
 
     def test_alpha_is_pure_prefactor(self):
         a = modesum.exponent_general_n(DimensionlessParams(0.1, 50.0, 0.9, 2))
@@ -171,12 +181,25 @@ class TestExponentGeneralN:
         with pytest.raises(CapabilityError):
             modesum.exponent_general_n(DimensionlessParams(0.1, 2e6, 0.9, 2))
 
-    def test_image_sum_cap(self, monkeypatch):
-        monkeypatch.setattr(modesum, "_MSUM_CAP", 4)
-        monkeypatch.setattr(modesum, "_ABS_TOL", 1e-300)
-        with pytest.raises(ConvergenceError) as err:
-            modesum.exponent_general_n(DimensionlessParams(0.1, 50.0, 0.4, 2))
-        assert err.value.partial > 0.0
+
+class TestImageSum:
+    # q in (0, 1e3] (below the normal range S ~ pi/q overflows), plus
+    # points within 1e-9 of the kinks q = 2 pi k
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(q=st.one_of(
+        st.floats(0.0, 1e3, exclude_min=True, allow_subnormal=False),
+        st.builds(lambda k, d: 2.0 * math.pi * k + d,
+                  st.integers(1, 159), st.floats(-1e-9, 1e-9))))
+    def test_against_clausen_functions(self, q):
+        # the two Clausen terms cancel to ~pi/q from ~1/q^2 each
+        with mp.workdps(40 + max(0, int(-math.log10(q)))):
+            ref = 4 * (mp.clsin(3, q) / mp.mpf(q) ** 3 - mp.clcos(2, q) / mp.mpf(q) ** 2)
+        # S is the difference of terms of the size below, and passes
+        # through zero (first at q = 3 pi / 2), where no double evaluation
+        # is accurate relative to S itself; rel is taken against that size
+        size = min(math.pi / q + 2.0 / 3.0,
+                   4.0 / q * (math.pi ** 2 / 6.0 / q + 1.2020569031595942 / q / q))
+        assert abs(modesum._image_sum_j(q) - float(ref)) <= 1e-13 * size
 
 
 class TestRelTol:
