@@ -52,6 +52,8 @@ _CONFIG_KEYS = {
 }
 # keys a configuration file may set besides the required ones
 _OPTIONAL_KEYS = ("molecule.name", "run.transit_convention")
+# kernel-sweep: value of each variable that is held fixed and not given
+_SWEEP_DEFAULTS = {"alpha": 0.5, "kappa": 1e8, "tau": 0.0}
 
 
 class UsageError(ValueError):
@@ -150,10 +152,14 @@ def _curve_lines(points, tail_bound: float) -> list[str]:
 
 
 def cmd_kernel_sweep(args) -> int:
+    if getattr(args, args.sweep) is not None:
+        raise UsageError(f"--{args.sweep} is the swept variable; "
+                         "its values come from --start, --stop and --points")
     values = _sweep_values(args)
-    fixed = {"alpha": args.alpha, "kappa": args.kappa, "tau": args.tau}
+    fixed = {k: default if getattr(args, k) is None else getattr(args, k)
+             for k, default in _SWEEP_DEFAULTS.items() if k != args.sweep}
     points = [{**fixed, args.sweep: float(v)} for v in values]
-    lines = _manifest_lines(args) + _curve_lines(
+    lines = _manifest_lines(args, **fixed) + _curve_lines(
         [(p["alpha"], p["kappa"], p["tau"]) for p in points], args.tail_bound)
     _write_text(Path(args.out), lines)
     print(f"wrote {args.out} ({len(points)} rows)")
@@ -190,6 +196,10 @@ def cmd_oracle_check(args) -> int:
                 status = "ok" if rel <= args.tolerance else "FAIL"
                 failed |= status == "FAIL"
                 rows.append((m, kappa, tau, closed, quad, rel, status))
+    if all(status.startswith("capability:") for *_, status in rows):
+        raise UsageError(
+            "no row was compared: every (m, kappa, tau) exceeds the oscillatory "
+            f"quadrature budget kappa*max(m, tau) <= {modesum.OSCILLATION_BUDGET:.0e}")
     header = f"{'m':>3} {'kappa':>9} {'tau':>6} {'closed':>24} {'quadrature':>24} {'rel_err':>10} status"
     table = [header]
     for m, kappa, tau, closed, quad, rel, status in rows:
@@ -360,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sweep tau/alpha/kappa, write CSV")
     _add_out(sweep, required=True)
     _add_tail_bound(sweep)
-    sweep.add_argument("--alpha", type=float, default=0.5)
-    sweep.add_argument("--kappa", type=float, default=1e8)
-    sweep.add_argument("--tau", type=float, default=0.0)
+    for name, default in _SWEEP_DEFAULTS.items():
+        sweep.add_argument(f"--{name}", type=float,
+                           help=f"fixed value when not swept (default {default:g})")
     sweep.add_argument("--sweep", choices=("tau", "alpha", "kappa"), default="tau")
     sweep.add_argument("--start", type=float, required=True)
     sweep.add_argument("--stop", type=float, required=True)

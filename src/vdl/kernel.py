@@ -123,18 +123,6 @@ class DecoherenceResult:
     per_term: np.ndarray = field(repr=False)
     truncation_estimate: float
 
-    @classmethod
-    def from_terms(cls, per_term: np.ndarray, truncation_estimate: float
-                   ) -> "DecoherenceResult":
-        gamma = float(per_term[:, 1].sum()) if per_term.size else 0.0
-        return cls(
-            gamma=gamma,
-            kernel=math.exp(-gamma),
-            terms_used=per_term.shape[0],
-            per_term=per_term,
-            truncation_estimate=truncation_estimate,
-        )
-
 
 def _term_base(m: np.ndarray, kappa: float, tau: float, sin_half_sq: float
                ) -> np.ndarray:
@@ -162,6 +150,13 @@ def _term_base(m: np.ndarray, kappa: float, tau: float, sin_half_sq: float
     return terms
 
 
+def _switching_factor(p: DimensionlessParams) -> float:
+    """sin^2(kappa tau / 2), the factor of a single on/off pair (N = 2)."""
+    if p.n_switches != 2:
+        raise ValueError("closed form requires n_switches = 2; see modesum.exponent_general_n")
+    return specfun.sin_product(p.kappa, 0.5 * p.tau) ** 2
+
+
 def kernel_term(m: int, p: DimensionlessParams) -> float:
     """The m-th summand Gamma_m of the decoherence exponent.
 
@@ -170,9 +165,7 @@ def kernel_term(m: int, p: DimensionlessParams) -> float:
     """
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
-    if p.n_switches != 2:
-        raise ValueError("closed form requires n_switches = 2; see modesum.exponent_general_n")
-    sin_half_sq = specfun.sin_product(p.kappa, 0.5 * p.tau) ** 2
+    sin_half_sq = _switching_factor(p)
     base = _term_base(np.array([float(int(m))]), p.kappa, p.tau, sin_half_sq)
     return p.alpha ** 2 * float(base[0])
 
@@ -195,15 +188,13 @@ def decoherence_kernel(p: DimensionlessParams,
     estimate if max_terms is not enough.
     """
     policy = policy or _DEFAULT_POLICY
-    if p.n_switches != 2:
-        raise ValueError("closed form requires n_switches = 2; see modesum.exponent_general_n")
+    sin_half_sq = _switching_factor(p)
     min_eff = max(policy.min_terms, math.ceil(p.tau) + 10)
     if min_eff > policy.max_terms:
         raise ValueError(
             f"the mandatory minimum ceil(tau) + 10 = {min_eff} terms exceeds "
             f"the {policy.max_terms}-term limit"
         )
-    sin_half_sq = specfun.sin_product(p.kappa, 0.5 * p.tau) ** 2
     alpha_sq = p.alpha * p.alpha
 
     blocks: list[np.ndarray] = []
@@ -265,19 +256,17 @@ def kernel_no_cutoff(alpha: float, L: float, T: float,
             "logarithmically at the light round-trip resonances"
         )
     m = np.arange(1, max_terms + 1, dtype=np.float64)
-    if tau == 0.0:
-        log_ratio = np.zeros_like(m)
-    else:
-        log_ratio = np.empty_like(m)
-        far = m > 2.0 * tau
-        log_ratio[far] = np.log1p(2.0 * tau / (m[far] - tau))
-        log_ratio[~far] = np.log(np.abs((m[~far] + tau) / (m[~far] - tau)))
-    coeff = 2.0 * alpha * alpha * tau / math.pi
-    contrib = coeff * log_ratio / m ** 3
-    gap = max(max_terms + 1.0 - tau, 1.0)
-    tail = coeff * tau / (gap * max_terms ** 2)
-    per_term = np.column_stack((m, contrib))
-    return DecoherenceResult.from_terms(per_term, tail)
+    # ln|(m + tau)/(m - tau)| on both sides of tau, without cancellation
+    log_ratio = np.log1p(2.0 * np.minimum(m, tau) / np.abs(m - tau))
+    contrib = (2.0 * alpha * alpha * tau / math.pi) * log_ratio / m ** 3
+    gamma = float(contrib.sum())
+    return DecoherenceResult(
+        gamma=gamma,
+        kernel=math.exp(-gamma),
+        terms_used=max_terms,
+        per_term=np.column_stack((m, contrib)),
+        truncation_estimate=_tail_majorant(alpha, math.inf, tau, max_terms),
+    )
 
 
 def kernel_at_plates(d_left: float, d_right: float, L: float,
@@ -290,8 +279,6 @@ def kernel_at_plates(d_left: float, d_right: float, L: float,
     kernel); the coupling is alpha = |d_right - d_left| /
     (L sqrt(4 pi eps0 hbar c)).
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError("L must be positive")
     delta = d_right - d_left
     if abs(d_left + d_right) > 1e-9 * abs(delta):
         raise ValueError(

@@ -108,7 +108,8 @@ _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
-    """Exact product a*b = p + e (Dekker). Valid away from overflow."""
+    """Exact product a*b = p + e (Dekker), elementwise for arrays.
+    Valid away from overflow."""
     p = a * b
     ah = _SPLITTER * a
     ah = ah - (ah - a)
@@ -172,20 +173,22 @@ def _reduced_angle_dd(a: float) -> tuple[float, float]:
     return _two_sum(p, rest)
 
 
-def sin_product(a: float, b: float) -> float:
-    """sin(a*b) with the product formed exactly before reduction."""
+def _reduced_product(a: float, b: float) -> float:
+    """a*b mod 2*pi, with the product formed exactly before reduction."""
     p, e = _two_product(float(a), float(b))
     if not math.isfinite(p):
-        raise ValueError("sin_product arguments overflow")
-    return math.sin(reduce_two_pi(p) + e)
+        raise ValueError("product of the arguments overflows")
+    return reduce_two_pi(p) + e
+
+
+def sin_product(a: float, b: float) -> float:
+    """sin(a*b) with the product formed exactly before reduction."""
+    return math.sin(_reduced_product(a, b))
 
 
 def cos_product(a: float, b: float) -> float:
     """cos(a*b) with the product formed exactly before reduction."""
-    p, e = _two_product(float(a), float(b))
-    if not math.isfinite(p):
-        raise ValueError("cos_product arguments overflow")
-    return math.cos(reduce_two_pi(p) + e)
+    return math.cos(_reduced_product(a, b))
 
 
 def sin_integer_multiples(angle: float, m: np.ndarray) -> np.ndarray:
@@ -202,15 +205,7 @@ def sin_integer_multiples(angle: float, m: np.ndarray) -> np.ndarray:
     if m.size and np.max(np.abs(m)) >= _MAX_MULTIPLE:
         raise ValueError(f"multiples must stay below 2^21, got {np.max(np.abs(m))}")
     hi, lo = _reduced_angle_dd(abs(angle))
-    p = m * hi
-    # vectorized Dekker two-product error of m*hi
-    mh = _SPLITTER * m
-    mh = mh - (mh - m)
-    ml = m - mh
-    hh = _SPLITTER * hi
-    hh = hh - (hh - hi)
-    hl = hi - hh
-    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl
+    p, err = _two_product(m, hi)
     corr = err + m * lo
     k = np.round(p * (1.0 / _TWO_PI_HI))
     r = ((p - k * _CW1) - k * _CW2) - k * _CW3 + corr

@@ -129,6 +129,17 @@ class TestOracleCheck:
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_partly_skipped_grid_passes_and_lists_skips(self, capsys):
+        code = run(["oracle-check", "--m-max", "2", "--kappa-grid", "50",
+                    "--tau-grid", "0.3,3e4"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        rows = lines[1:-1]
+        assert len(rows) == 4
+        assert [r.split()[-1] for r in rows[:2]] == ["ok", "ok"]
+        assert all("capability:" in r and "30000" in r for r in rows[2:])
+        assert lines[-1].startswith("# worst rel_err")
+
     def test_report_file(self, tmp_path):
         out = tmp_path / "oracle.txt"
         assert run(["oracle-check", "--m-max", "2", "--kappa-grid", "50",
@@ -293,21 +304,41 @@ class TestParser:
             run(argv)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["oracle-check", "--m-max", "0", "--out", "x.txt"],
-        ["oracle-check", "--kappa-grid", "", "--out", "x.txt"],
-        ["oracle-check", "--tau-grid", "", "--out", "x.txt"],
-        ["oracle-check", "--tolerance", "nan", "--out", "x.txt"],
-        ["oracle-check", "--tolerance", "inf", "--out", "x.txt"],
-        ["oracle-check", "--tolerance", "-1", "--out", "x.txt"],
-        ["figure2", "--points", "1"],
-        ["figure2", "--alphas", ""],
-        ["modes-demo", "--grids", "", "--out", "x.csv"],
-        ["modes-demo", "--grids", "20.9,40.2", "--out", "x.csv"],
+    @pytest.mark.parametrize("argv, named", [
+        (["oracle-check", "--m-max", "0", "--out", "x.txt"], "--m-max"),
+        (["oracle-check", "--kappa-grid", "", "--out", "x.txt"], "--kappa-grid"),
+        (["oracle-check", "--tau-grid", "", "--out", "x.txt"], "--tau-grid"),
+        (["oracle-check", "--tolerance", "nan", "--out", "x.txt"], "--tolerance"),
+        (["oracle-check", "--tolerance", "inf", "--out", "x.txt"], "--tolerance"),
+        (["oracle-check", "--tolerance", "-1", "--out", "x.txt"], "--tolerance"),
+        (["oracle-check", "--m-max", "1", "--kappa-grid", "2e6", "--tau-grid", "0.3",
+          "--out", "x.txt"], "quadrature budget kappa*max(m, tau) <= 1e+06"),
+        (["figure2", "--points", "1"], "--points"),
+        (["figure2", "--alphas", ""], "--alphas"),
+        (["modes-demo", "--grids", "", "--out", "x.csv"], "--grids"),
+        (["modes-demo", "--grids", "20.9,40.2", "--out", "x.csv"], "--grids"),
+        (["modes-demo", "--plate-separation", "0", "--out", "x.csv"], "plate separation"),
+        (["modes-demo", "--plate-separation=-1e-3", "--out", "x.csv"], "plate separation"),
+        (["modes-demo", "--plates", "--plate-separation", "0", "--out", "x.csv"],
+         "plate separation"),
+        (["modes-demo", "--plates", "--plate-separation=-1e-3", "--out", "x.csv"],
+         "plate separation"),
+        (["kernel-sweep", "--sweep", "tau", "--tau", "3", "--start", "0.5", "--stop", "1.5",
+          "--out", "x.csv"], "--tau"),
+        (["kernel-sweep", "--sweep", "alpha", "--alpha", "0.9", "--start", "0.5",
+          "--stop", "1.5", "--out", "x.csv"], "--alpha"),
+        (["kernel-sweep", "--sweep", "kappa", "--kappa", "10", "--start", "1",
+          "--stop", "1e3", "--out", "x.csv"], "--kappa"),
     ], ids=["oracle-m-max", "oracle-kappa-grid", "oracle-tau-grid", "oracle-tolerance-nan",
-            "oracle-tolerance-inf", "oracle-tolerance-negative", "figure2-points",
-            "figure2-alphas", "modes-grids", "modes-grids-fraction"])
-    def test_empty_input_is_usage_error(self, argv, tmp_path, monkeypatch):
+            "oracle-tolerance-inf", "oracle-tolerance-negative", "oracle-nothing-compared",
+            "figure2-points", "figure2-alphas", "modes-grids", "modes-grids-fraction",
+            "modes-plate-separation-zero", "modes-plate-separation-negative",
+            "modes-plates-plate-separation-zero", "modes-plates-plate-separation-negative",
+            "sweep-tau-swept-flag", "sweep-alpha-swept-flag", "sweep-kappa-swept-flag"])
+    def test_empty_input_is_usage_error(self, argv, named, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
         assert not any(tmp_path.iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +218,27 @@ class TestKernelNoCutoff:
             for m in range(1, M + 1)
         )
         assert res.gamma == pytest.approx(brute, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(tau=st.floats(0.01, 1000.0).filter(lambda t: abs(t - round(t)) >= 1e-3),
+           alpha=st.floats(0.01, 1.0))
+    def test_against_extended_precision_partial_sum(self, tau, alpha):
+        L = 1.0
+        T = tau * L / C_LIGHT
+        M = int(3 * tau) + 50
+        res = kernel_no_cutoff(alpha, L, T, M)
+        with mp.workdps(40):
+            t = mp.mpf(C_LIGHT * T / L)  # the tau the function uses
+            ref = 2 * mp.mpf(alpha) ** 2 * t / mp.pi * mp.fsum(
+                mp.log(abs((m + t) / (m - t))) / m ** 3 for m in range(1, M + 1))
+        assert abs(res.gamma - float(ref)) <= 1e-15 * float(ref)
+
+    @pytest.mark.parametrize("tau, M", [(0.37, 1), (2.6, 40), (10.5, 12), (99.5, 400)])
+    def test_truncation_estimate_bounds_true_tail(self, tau, M):
+        res = kernel_no_cutoff(0.5, 1.0, tau / C_LIGHT, M)
+        m = np.arange(M + 1, 64 * M + 1, dtype=np.float64)
+        tail = (0.5 / math.pi * tau * np.log(np.abs((m + tau) / (m - tau))) / m ** 3).sum()
+        assert 0.0 < tail <= res.truncation_estimate
 
 
 class TestKernelAtPlates:

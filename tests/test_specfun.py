@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vdl import specfun
 from vdl.constants import EULER_GAMMA
@@ -165,6 +166,39 @@ class TestArgumentReduction:
                 assert abs(specfun.sin_product(a, b) - ref) <= 1e-10
                 refc = float(mp.cos(mp.mpf(a) * mp.mpf(b)))
                 assert abs(specfun.cos_product(a, b) - refc) <= 1e-10
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(x=st.floats(1.0, 1e15), negative=st.booleans())
+    def test_reduce_two_pi_property(self, x, negative):
+        x = -x if negative else x
+        r = specfun.reduce_two_pi(x)
+        with mp.workdps(60):
+            ref = mp.fmod(mp.mpf(x), 2 * mp.pi)
+            if ref < 0:
+                ref += 2 * mp.pi
+            err = abs(r - ref)
+            err = float(min(err, abs(err - 2 * mp.pi)))
+        assert err <= 4e-15
+        assert 0.0 <= r < 2 * math.pi
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(a=st.floats(1.0, 1e9), b=st.floats(0.0, 1e3))
+    def test_product_property(self, a, b):
+        with mp.workdps(60):
+            ab = mp.mpf(a) * mp.mpf(b)
+            ref_s, ref_c = float(mp.sin(ab)), float(mp.cos(ab))
+        assert abs(specfun.sin_product(a, b) - ref_s) <= 4e-15
+        assert abs(specfun.cos_product(a, b) - ref_c) <= 4e-15
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(angle=st.floats(1.0, 1e13), negative=st.booleans(),
+           m=st.lists(st.integers(0, 2 ** 21 - 1), min_size=1, max_size=16))
+    def test_sin_integer_multiples_property(self, angle, negative, m):
+        angle = -angle if negative else angle
+        got = specfun.sin_integer_multiples(angle, np.array(m, dtype=np.float64))
+        with mp.workdps(60):
+            ref = np.array([float(mp.sin(k * mp.mpf(angle))) for k in m])
+        assert np.max(np.abs(got - ref)) <= 4e-15
 
     def test_multiple_bound(self):
         with pytest.raises(ValueError):
