@@ -79,8 +79,7 @@ class ModeGrid:
             raise ValueError("k_par_points must be >= 2")
         if not (self.k_par_max > 0.0 and math.isfinite(self.k_par_max)):
             raise ValueError("k_par_max must be positive")
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ValueError("L must be positive")
+        dipole_coupling_scale(self.L)
 
     @property
     def kappa(self) -> float:

@@ -126,8 +126,8 @@ class CavityConfig:
     cutoff_wavenumber: float
 
     def __post_init__(self):
-        _require_positive(plate_separation=self.plate_separation,
-                          cutoff_wavenumber=self.cutoff_wavenumber)
+        dipole_coupling_scale(self.plate_separation)
+        _require_positive(cutoff_wavenumber=self.cutoff_wavenumber)
 
     @property
     def kappa(self) -> float:

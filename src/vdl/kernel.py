@@ -23,13 +23,15 @@ included here: without boundaries the dressed vacuum tracks only the
 instantaneous dipole position and its apparent decoherence is
 reversible.  It is available as ``modesum.m0_term`` for diagnostics.
 
-Truncation is adaptive against the analytic tail majorant
+The series is cut at the smallest M whose analytic tail majorant
 
     sum_{m>M} (2 alpha^2 / (pi m^3)) (2 tau^2/(m - tau) + 4/kappa)
-        <= (alpha^2/pi) (2 tau^2/(M+1-tau) + 4/kappa) / M^2,
+        <= (alpha^2/pi) (2 tau^2/(M+1-tau) + 4/kappa) / M^2
 
-with a mandatory minimum of ceil(tau) + 10 terms so the resonance
-structure near m ~ tau is never truncated away.
+is below the tail bound, with a mandatory minimum of ceil(tau) + 10
+terms so the resonance structure near m ~ tau is never truncated away.
+The majorant needs no summed term, so M is found first and the terms
+m = 1..M are summed in one pass.
 
 Everything is pure given (params, policy).
 """
@@ -45,6 +47,7 @@ import numpy as np
 from .constants import EULER_GAMMA, C_LIGHT, dipole_coupling_scale
 from .errors import ConvergenceError
 from . import specfun
+from .modesum import _check_switch_count
 
 __all__ = [
     "DimensionlessParams",
@@ -81,19 +84,18 @@ class DimensionlessParams:
             raise ValueError("kappa must be finite and positive")
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise ValueError("tau must be finite and >= 0")
-        if self.n_switches < 2 or self.n_switches % 2 != 0:
-            raise ValueError("n_switches must be even and >= 2")
+        _check_switch_count(self.n_switches)
 
 
 @dataclass(frozen=True)
 class SeriesPolicy:
     """Truncation policy for the kernel series.
 
-    The stop rule is: at least max(min_terms, ceil(tau) + 10) terms, then
-    stop once the analytic tail majorant drops below tail_bound, giving
-    up after max_terms.  Every term goes through the regularized Cin
-    path, which is finite at the resonances tau = m and uniformly
-    accurate away from them.
+    The series is summed up to the smallest M >= max(min_terms,
+    ceil(tau) + 10) whose analytic tail majorant is below tail_bound;
+    if even M = max_terms misses the bound, the evaluation fails.  Every
+    term goes through the regularized Cin path, which is finite at the
+    resonances tau = m and uniformly accurate away from them.
     """
 
     tail_bound: float = 1e-12
@@ -180,9 +182,10 @@ def decoherence_kernel(p: DimensionlessParams,
                        policy: SeriesPolicy | None = None) -> DecoherenceResult:
     """Evaluate D = exp(-Gamma) for a single on/off switch.
 
-    Sums Gamma_m adaptively until the analytic tail majorant falls below
-    policy.tail_bound (never before ceil(tau) + 10 terms); the m = 0
-    free-space term is excluded unconditionally.
+    Sums Gamma_m for m = 1..M in one pass, where M is the smallest count
+    of at least ceil(tau) + 10 terms whose analytic tail majorant is
+    below policy.tail_bound; the m = 0 free-space term is excluded
+    unconditionally.
 
     Raises ConvergenceError carrying the partial exponent and tail
     estimate if max_terms is not enough.
@@ -195,36 +198,32 @@ def decoherence_kernel(p: DimensionlessParams,
             f"the mandatory minimum ceil(tau) + 10 = {min_eff} terms exceeds "
             f"the {policy.max_terms}-term limit"
         )
+    # The majorant strictly decreases in M once M + 1 - tau >= 11, so
+    # bisection finds the smallest M meeting the bound (max_terms if none).
+    n_terms, hi = min_eff, policy.max_terms
+    while n_terms < hi:
+        mid = (n_terms + hi) // 2
+        if _tail_majorant(p.alpha, p.kappa, p.tau, mid) < policy.tail_bound:
+            hi = mid
+        else:
+            n_terms = mid + 1
+    tail = _tail_majorant(p.alpha, p.kappa, p.tau, n_terms)
+    m = np.arange(1, n_terms + 1, dtype=np.float64)
     alpha_sq = p.alpha * p.alpha
-
-    blocks: list[np.ndarray] = []
-    m_done = 0
-    target = min_eff
-    base_sum = 0.0
-    while True:
-        m_block = np.arange(m_done + 1, target + 1, dtype=np.float64)
-        base = _term_base(m_block, p.kappa, p.tau, sin_half_sq)
-        blocks.append(np.column_stack((m_block, alpha_sq * base)))
-        base_sum += float(base.sum())
-        m_done = target
-        tail = _tail_majorant(p.alpha, p.kappa, p.tau, m_done)
-        if tail < policy.tail_bound:
-            break
-        if m_done >= policy.max_terms:
-            raise ConvergenceError(
-                f"kernel series not converged after {m_done} terms "
-                f"(tail estimate {tail:.3e} > tail_bound {policy.tail_bound:.3e})",
-                partial=alpha_sq * base_sum,
-                error_estimate=tail,
-            )
-        target = min(policy.max_terms, 2 * m_done)
-    per_term = np.concatenate(blocks, axis=0)
-    gamma = alpha_sq * base_sum
+    base = _term_base(m, p.kappa, p.tau, sin_half_sq)
+    gamma = alpha_sq * float(base.sum())
+    if not tail < policy.tail_bound:
+        raise ConvergenceError(
+            f"kernel series not converged after {n_terms} terms "
+            f"(tail estimate {tail:.3e} > tail_bound {policy.tail_bound:.3e})",
+            partial=gamma,
+            error_estimate=tail,
+        )
     return DecoherenceResult(
         gamma=gamma,
         kernel=math.exp(-gamma),
-        terms_used=m_done,
-        per_term=per_term,
+        terms_used=n_terms,
+        per_term=np.column_stack((m, alpha_sq * base)),
         truncation_estimate=tail,
     )
 
@@ -242,8 +241,7 @@ def kernel_no_cutoff(alpha: float, L: float, T: float,
     """
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError("alpha must be finite and >= 0")
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError("L must be positive")
+    dipole_coupling_scale(L)
     if not (T >= 0.0 and math.isfinite(T)):
         raise ValueError("T must be finite and >= 0")
     if max_terms < 1:

@@ -189,12 +189,15 @@ def switching_spectrum(omega_t_half: float, n_switches: int) -> float:
     return abs(_switch_ratio(np.float64(omega_t_half), n_switches))
 
 
+def _check_switch_count(n) -> None:
+    """Even and >= 2: the dipole must be off after the last switch."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2 and n % 2 == 0):
+        raise ValueError(f"n_switches must be an even integer >= 2, got {n!r}")
+
+
 def _switch_ratio(theta, n_switches: int):
     """Signed sin(N theta)/cos(theta) for even N; array friendly."""
-    if n_switches < 2 or n_switches % 2 != 0:
-        raise ValueError(
-            "n_switches must be even and >= 2: the dipole must be off after the last switch"
-        )
+    _check_switch_count(n_switches)
     c2 = np.cos(theta) ** 2
     v = np.full_like(np.asarray(theta, dtype=np.float64), 2.0)  # U_1(c)/c
     w = np.ones_like(v)  # U_0(c)

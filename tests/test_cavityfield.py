@@ -40,6 +40,11 @@ class TestModeGrid:
         with pytest.raises(ValueError):
             ModeGrid(n_max=5, k_par_max=-1.0, k_par_points=10, L=L)
 
+    @pytest.mark.parametrize("bad_L", [math.nan, 0.0, -1e-3])
+    def test_plate_separation_rejected(self, bad_L):
+        with pytest.raises(ValueError, match="plate separation L must be finite and > 0"):
+            ModeGrid(n_max=5, k_par_max=1e4, k_par_points=10, L=bad_L)
+
     def test_kappa_and_coverage(self):
         grid = make_grid(50)
         assert grid.kappa == pytest.approx(KAPPA)
@@ -114,6 +119,12 @@ class TestOverlap:
         grid = make_grid(64)
         p = DipoleProfile("center", 1e-22)
         assert overlap(p, p, T, 2, grid) == 1.0
+
+    @pytest.mark.parametrize("n", [4.0, 3])
+    def test_switch_count_must_be_even_integer(self, n):
+        with pytest.raises(ValueError, match="n_switches must be an even integer >= 2"):
+            overlap(DipoleProfile("center", 0.0), DipoleProfile("center", 1e-22), T, n,
+                    make_grid(16))
 
     def test_incompatible_profiles(self):
         grid = make_grid(16)

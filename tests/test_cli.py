@@ -323,6 +323,8 @@ class TestParser:
          "plate separation"),
         (["modes-demo", "--plates", "--plate-separation=-1e-3", "--out", "x.csv"],
          "plate separation"),
+        (["feasibility", "--config", str(bundled_config("na_cluster.cfg")),
+          "--plate-separation", "0"], "plate separation"),
         (["kernel-sweep", "--sweep", "tau", "--tau", "3", "--start", "0.5", "--stop", "1.5",
           "--out", "x.csv"], "--tau"),
         (["kernel-sweep", "--sweep", "alpha", "--alpha", "0.9", "--start", "0.5",
@@ -334,7 +336,7 @@ class TestParser:
             "figure2-points", "figure2-alphas", "modes-grids", "modes-grids-fraction",
             "modes-plate-separation-zero", "modes-plate-separation-negative",
             "modes-plates-plate-separation-zero", "modes-plates-plate-separation-negative",
-            "sweep-tau-swept-flag", "sweep-alpha-swept-flag", "sweep-kappa-swept-flag"])
+            "feasibility-plate-separation-zero", "sweep-tau-swept-flag", "sweep-alpha-swept-flag", "sweep-kappa-swept-flag"])
     def test_empty_input_is_usage_error(self, argv, named, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2

@@ -231,8 +231,10 @@ class TestValidation:
             fz.LaserConfig(power=1.0, sigma_y=0.0, sigma_z=1e-7, grating_period=1e-7)
 
     def test_cavity_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="plate separation L must be finite and > 0"):
             fz.CavityConfig(plate_separation=0.0, cutoff_wavenumber=1e10)
+        with pytest.raises(ValueError):
+            fz.CavityConfig(plate_separation=1e-3, cutoff_wavenumber=0.0)
 
     def test_diffraction_limit_flag(self):
         wide = fz.LaserConfig(power=1.0, sigma_y=1e-3, sigma_z=1e-6, grating_period=1e-7)

@@ -49,6 +49,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             DimensionlessParams(0.5, 1e8, 1.0, 3)
 
+    @pytest.mark.parametrize("n", [4.0, 2.0, 3])
+    def test_switch_count_must_be_even_integer(self, n):
+        with pytest.raises(ValueError, match="n_switches must be an even integer >= 2"):
+            DimensionlessParams(0.1, 50.0, 0.4, n_switches=n)
+
     def test_policy(self):
         with pytest.raises(ValueError):
             SeriesPolicy(tail_bound=0.0)
@@ -127,6 +132,40 @@ class TestDecoherenceKernel:
         with pytest.raises(ValueError):
             decoherence_kernel(DimensionlessParams(0.5, 1e8, 2e6))
 
+    @pytest.mark.parametrize("alpha, kappa, tau", [
+        (0.0, 1e8, 5.0), (0.5, 1e8, 0.0), (0.5, 1e8, 100.5), (0.3, 50.0, 1.3)])
+    def test_stop_index_is_smallest_meeting_bound(self, alpha, kappa, tau):
+        bound = SeriesPolicy().tail_bound
+        res = decoherence_kernel(DimensionlessParams(alpha, kappa, tau))
+        n = res.terms_used
+        floor = max(SeriesPolicy.min_terms, math.ceil(tau) + 10)
+        assert n >= floor
+        assert kernel._tail_majorant(alpha, kappa, tau, n) < bound
+        assert n == floor or kernel._tail_majorant(alpha, kappa, tau, n - 1) >= bound
+
+    def test_terms_computed_in_one_call(self, monkeypatch):
+        calls = []
+        term_base = kernel._term_base
+
+        def counting(m, *args):
+            calls.append(m.size)
+            return term_base(m, *args)
+
+        monkeypatch.setattr(kernel, "_term_base", counting)
+        res = decoherence_kernel(DimensionlessParams(0.5, 1e8, 10.5))
+        assert calls == [res.terms_used]
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(alpha=st.floats(0.0, 1.0), log_kappa=st.floats(4.0, 8.0),
+           tau=st.floats(0.0, 30.0))
+    def test_tighter_bound_moves_gamma_within_bound(self, alpha, log_kappa, tau):
+        p = DimensionlessParams(alpha, 10.0 ** log_kappa, tau)
+        res = decoherence_kernel(p)
+        tight = decoherence_kernel(p, SeriesPolicy(tail_bound=1e-13)).gamma
+        assert abs(res.gamma - tight) <= 1e-12 + 4.0 * math.ulp(res.gamma)
+        if res.gamma > 0.0:
+            assert 0.0 < res.kernel <= 1.0
+
     def test_non_convergence_carries_partial(self, monkeypatch):
         monkeypatch.setattr(SeriesPolicy, "max_terms", 64)
         policy = SeriesPolicy(tail_bound=1e-30)
@@ -179,6 +218,11 @@ class TestKernelNoCutoff:
     def test_zero_time(self):
         res = kernel_no_cutoff(0.3, 1e-3, 0.0)
         assert res.kernel == 1.0 and res.gamma == 0.0
+
+    @pytest.mark.parametrize("L", [0.0, -1e-3, math.nan, math.inf])
+    def test_plate_separation_rejected(self, L):
+        with pytest.raises(ValueError, match="plate separation L must be finite and > 0"):
+            kernel_no_cutoff(0.3, L, 1e-12)
 
     def test_integer_tau_rejected(self):
         L = 1.0
@@ -277,13 +321,13 @@ class TestScaling:
 
 class TestTailMajorant:
     @settings(max_examples=60, deadline=None, database=None)
-    @given(log_kappa=st.floats(-2.0, 8.0), tau=st.floats(0.0, 1e3),
-           doublings=st.integers(0, 3))
-    def test_bounds_true_tail(self, log_kappa, tau, doublings):
+    @given(log_kappa=st.floats(-2.0, 8.0), tau=st.floats(0.0, 1e3), data=st.data())
+    def test_bounds_true_tail(self, log_kappa, tau, data):
         """The stop rule's majorant after M terms covers the next 15 M terms
-        at every M the doubling schedule can stop at."""
+        at any M from the mandatory minimum to eight times it."""
         kappa = 10.0 ** log_kappa
-        M = max(SeriesPolicy.min_terms, math.ceil(tau) + 10) * 2 ** doublings
+        floor = max(SeriesPolicy.min_terms, math.ceil(tau) + 10)
+        M = data.draw(st.integers(floor, 8 * floor), label="M")
         m = np.arange(M + 1, 16 * M + 1, dtype=np.float64)
         sin_half_sq = specfun.sin_product(kappa, 0.5 * tau) ** 2
         tail = np.abs(kernel._term_base(m, kappa, tau, sin_half_sq)).sum()
