@@ -23,14 +23,25 @@ included here: without boundaries the dressed vacuum tracks only the
 instantaneous dipole position and its apparent decoherence is
 reversible.  It is available as ``modesum.m0_term`` for diagnostics.
 
-The series is cut at the smallest M whose analytic tail majorant
+Each term splits into a bracket part and a switching part,
 
-    sum_{m>M} (2 alpha^2 / (pi m^3)) (2 tau^2/(m - tau) + 4/kappa)
-        <= (alpha^2/pi) (2 tau^2/(M+1-tau) + 4/kappa) / M^2
+    Gamma_m / alpha^2 = (2 tau / (pi m^3)) bracket_m + S_m,
+    S_m = -(8 sin^2(kappa tau / 2) / (pi kappa)) sin(m kappa) / m^3,
 
-is below the tail bound, with a mandatory minimum of ceil(tau) + 10
-terms so the resonance structure near m ~ tau is never truncated away.
-The majorant needs no summed term, so M is found first and the terms
+and the switching part is summed exactly: sum_{m>=1} sin(m kappa) / m^3
+is the Clausen function Sl_3(kappa) (``specfun.clausen_sl3``).  Only the
+bracket part, bracket_m = ln((m + tau)/|m - tau|) + Ci(kappa |m - tau|)
+- Ci(kappa (m + tau)), is summed term by term.  With
+ln((m + tau)/(m - tau)) <= 2 tau/(m - tau) and |Ci(x)| <= 1/x + 1/x^2,
+its tail obeys, for g = M + 1 - tau,
+
+    sum_{m>M} (2 alpha^2 tau / (pi m^3)) |bracket_m|
+        <= (alpha^2/pi) [2 tau^2/g + (2 tau/kappa) (1/g + 1/(kappa g^2))] / M^2,
+
+and the series is cut at the smallest M whose majorant is below the
+tail bound, with a mandatory minimum of ceil(tau) + 10 terms so the
+resonance structure near m ~ tau is never truncated away.  The
+majorant needs no summed term, so M is found first and the terms
 m = 1..M are summed in one pass.
 
 Everything is pure given (params, policy).
@@ -47,7 +58,7 @@ import numpy as np
 from .constants import EULER_GAMMA, C_LIGHT, dipole_coupling_scale
 from .errors import ConvergenceError
 from . import specfun
-from .modesum import _check_switch_count
+from .modesum import _check_count, _check_switch_count
 
 __all__ = [
     "DimensionlessParams",
@@ -100,12 +111,12 @@ class SeriesPolicy:
 
     tail_bound: float = 1e-12
     min_terms: ClassVar[int] = 32
-    # sin_integer_multiples guarantees accurate phases only below 2^21
+    # a work limit on the terms summed directly
     max_terms: ClassVar[int] = 10 ** 6
 
     def __post_init__(self):
-        if not (self.tail_bound > 0.0):
-            raise ValueError("tail_bound must be positive")
+        if not (math.isfinite(self.tail_bound) and self.tail_bound > 0.0):
+            raise ValueError(f"tail_bound must be finite and > 0, got {self.tail_bound!r}")
 
 
 _DEFAULT_POLICY = SeriesPolicy()
@@ -116,7 +127,10 @@ class DecoherenceResult:
     """Exponent, kernel and diagnostics of one series evaluation.
 
     kernel == exp(-gamma) exactly as computed; per_term is an (n, 2)
-    array of (m, Gamma_m) pairs in summation order.
+    array of (m, alpha^2 (2 tau / (pi m^3)) bracket_m) pairs in summation
+    order, the directly summed part only.  The switching part alpha^2 S,
+    S = sum_m S_m, is summed in closed form, so up to rounding
+    gamma = alpha^2 S + per_term[:, 1].sum().
     """
 
     gamma: float
@@ -126,9 +140,9 @@ class DecoherenceResult:
     truncation_estimate: float
 
 
-def _term_base(m: np.ndarray, kappa: float, tau: float, sin_half_sq: float
-               ) -> np.ndarray:
-    """alpha-free kernel terms Gamma_m / alpha^2 for an array of m.
+def _term_base(m: np.ndarray, kappa: float, tau: float) -> np.ndarray:
+    """Bracket part (2 tau / (pi m^3)) bracket_m of Gamma_m / alpha^2 for
+    an array of m.
 
     alpha enters the series only as a squared prefactor, so it is kept
     outside; this also makes the exact alpha^2 scaling of Gamma explicit.
@@ -141,22 +155,19 @@ def _term_base(m: np.ndarray, kappa: float, tau: float, sin_half_sq: float
         - specfun.cin(x_minus)
         - specfun.ci(x_plus)
     )
-    sin_mk = specfun.sin_integer_multiples(kappa, m)
-    kt = kappa * tau
-    terms = (2.0 / (math.pi * m ** 3 * kappa)) * (
-        kt * bracket - 4.0 * sin_half_sq * sin_mk
-    )
+    terms = (2.0 * tau / math.pi) * bracket / m ** 3
     if not np.all(np.isfinite(terms)):
         bad = int(m[np.flatnonzero(~np.isfinite(terms))[0]])
         raise ConvergenceError(f"non-finite kernel term at m = {bad}")
     return terms
 
 
-def _switching_factor(p: DimensionlessParams) -> float:
-    """sin^2(kappa tau / 2), the factor of a single on/off pair (N = 2)."""
+def _switching_prefactor(p: DimensionlessParams) -> float:
+    """-8 sin^2(kappa tau / 2) / (pi kappa), so S_m = that * sin(m kappa) / m^3;
+    sin^2(kappa tau / 2) is the factor of a single on/off pair (N = 2)."""
     if p.n_switches != 2:
         raise ValueError("closed form requires n_switches = 2; see modesum.exponent_general_n")
-    return specfun.sin_product(p.kappa, 0.5 * p.tau) ** 2
+    return -8.0 * specfun.sin_product(p.kappa, 0.5 * p.tau) ** 2 / (math.pi * p.kappa)
 
 
 def kernel_term(m: int, p: DimensionlessParams) -> float:
@@ -165,33 +176,35 @@ def kernel_term(m: int, p: DimensionlessParams) -> float:
     Finite for every tau >= 0 including the resonances tau = m, where
     the value is the two-sided limit of the raw cutoff formula.
     """
-    if m < 1 or m != int(m):
-        raise ValueError("m must be a positive integer")
-    sin_half_sq = _switching_factor(p)
-    base = _term_base(np.array([float(int(m))]), p.kappa, p.tau, sin_half_sq)
-    return p.alpha ** 2 * float(base[0])
+    m = _check_count("m", m)
+    switching = _switching_prefactor(p)
+    base = float(_term_base(np.array([float(m)]), p.kappa, p.tau)[0])
+    return p.alpha ** 2 * (base + switching * specfun.sin_product(p.kappa, m) / m ** 3)
 
 
 def _tail_majorant(alpha: float, kappa: float, tau: float, m_used: int) -> float:
-    """Upper bound on sum_{m>M} (2 alpha^2/(pi m^3)) (2 tau^2/(m-tau) + 4/kappa)."""
+    """Upper bound on sum_{m>M} (2 alpha^2 tau / (pi m^3)) |bracket_m|, the
+    bracket part beyond M = m_used terms (module docstring)."""
     gap = max(m_used + 1.0 - tau, 1.0)
-    return (alpha ** 2 / math.pi) * (2.0 * tau ** 2 / gap + 4.0 / kappa) / m_used ** 2
+    ci_part = (2.0 * tau / kappa) * (1.0 / gap + 1.0 / (kappa * gap * gap))
+    return (alpha ** 2 / math.pi) * (2.0 * tau ** 2 / gap + ci_part) / m_used ** 2
 
 
 def decoherence_kernel(p: DimensionlessParams,
                        policy: SeriesPolicy | None = None) -> DecoherenceResult:
     """Evaluate D = exp(-Gamma) for a single on/off switch.
 
-    Sums Gamma_m for m = 1..M in one pass, where M is the smallest count
-    of at least ceil(tau) + 10 terms whose analytic tail majorant is
-    below policy.tail_bound; the m = 0 free-space term is excluded
-    unconditionally.
+    Sums the bracket part of Gamma_m for m = 1..M in one pass, where M
+    is the smallest count of at least ceil(tau) + 10 terms whose
+    analytic tail majorant is below policy.tail_bound, and adds the
+    switching part in closed form; the m = 0 free-space term is
+    excluded unconditionally.
 
     Raises ConvergenceError carrying the partial exponent and tail
     estimate if max_terms is not enough.
     """
     policy = policy or _DEFAULT_POLICY
-    sin_half_sq = _switching_factor(p)
+    switching = _switching_prefactor(p)
     min_eff = max(policy.min_terms, math.ceil(p.tau) + 10)
     if min_eff > policy.max_terms:
         raise ValueError(
@@ -210,8 +223,8 @@ def decoherence_kernel(p: DimensionlessParams,
     tail = _tail_majorant(p.alpha, p.kappa, p.tau, n_terms)
     m = np.arange(1, n_terms + 1, dtype=np.float64)
     alpha_sq = p.alpha * p.alpha
-    base = _term_base(m, p.kappa, p.tau, sin_half_sq)
-    gamma = alpha_sq * float(base.sum())
+    base = _term_base(m, p.kappa, p.tau)
+    gamma = alpha_sq * (float(base.sum()) + switching * specfun.clausen_sl3(p.kappa))
     if not tail < policy.tail_bound:
         raise ConvergenceError(
             f"kernel series not converged after {n_terms} terms "
@@ -244,8 +257,7 @@ def kernel_no_cutoff(alpha: float, L: float, T: float,
     dipole_coupling_scale(L)
     if not (T >= 0.0 and math.isfinite(T)):
         raise ValueError("T must be finite and >= 0")
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
+    max_terms = _check_count("max_terms", max_terms)
     tau = C_LIGHT * T / L
     resonance = round(tau)
     if tau == resonance and 1 <= resonance <= max_terms:

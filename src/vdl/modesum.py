@@ -130,13 +130,11 @@ def radial_integral_m(m: int, kappa: float, tau: float, *,
     """
     if not (rel_tol > 0.0):
         raise ValueError("rel_tol must be positive")
-    if m < 1 or m != int(m):
-        raise ValueError("m must be a positive integer")
+    m = _check_count("m", m)
     if tau < 0.0 or not math.isfinite(tau):
         raise ValueError("tau must be finite and >= 0")
     if kappa <= 0.0 or not math.isfinite(kappa):
         raise ValueError("kappa must be finite and positive")
-    m = int(m)
     _check_budget(m, kappa, tau)
     if tau == 0.0:
         return 0.0
@@ -187,6 +185,13 @@ def switching_spectrum(omega_t_half: float, n_switches: int) -> float:
     (where the value is N up to sign) need no thresholds.
     """
     return abs(_switch_ratio(np.float64(omega_t_half), n_switches))
+
+
+def _check_count(name: str, n) -> int:
+    """A count >= 1 given as any finite integer value (3 or 3.0), as int."""
+    if not (math.isfinite(n) and n >= 1 and n == int(n)):
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def _check_switch_count(n) -> None:

@@ -19,11 +19,13 @@ and from their asymptotic series once that is accurate to double
 precision (x >= 40).
 
 The module also provides correctly rounded argument reduction modulo
-2*pi (``reduce_two_pi``, ``sin_product``, ``sin_integer_multiples``).
-The kernel evaluates phases like sin(m*kappa) with kappa = 1e8 and m up
-to 1e6; naive product-then-libm loses up to ~1e-7 rad to the product
-rounding alone, while the helpers here keep the reduced argument good
-to ~1e-15 rad (requirement: 1e-10 for arguments up to 1e12).
+2*pi (``reduce_two_pi``, ``sin_product``, ``cos_product``) and, on top
+of it, the Clausen sum ``clausen_sl3(x) = sum_{m>=1} sin(m x) / m^3``
+in closed form.  The kernel evaluates phases like sin(kappa tau / 2)
+with kappa = 1e8; naive product-then-libm loses up to ~1e-7 rad to the
+product rounding alone, while the helpers here keep the reduced
+argument good to ~1e-15 rad (requirement: 1e-10 for arguments up to
+1e12).
 
 All functions are pure and stateless; they are safe to call from any
 number of threads.
@@ -45,7 +47,7 @@ __all__ = [
     "reduce_two_pi",
     "sin_product",
     "cos_product",
-    "sin_integer_multiples",
+    "clausen_sl3",
 ]
 
 
@@ -97,19 +99,11 @@ _INV_TWO_PI_BITS = 1100
 _TWO_PI_HI = 6.283185307179586
 _TWO_PI_LO = 2.4492935982947064e-16
 
-# Cody-Waite split of 2*pi: c1 has ~32 significant bits so k*c1 is exact
-# for integer k < 2^21, which bounds the usable multiple count below.
-_CW1 = 6.2831853069365025
-_CW2 = 2.430840181921745e-10
-_CW3 = 2.068073192717642e-18
-_MAX_MULTIPLE = 2 ** 21
-
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
-    """Exact product a*b = p + e (Dekker), elementwise for arrays.
-    Valid away from overflow."""
+    """Exact product a*b = p + e (Dekker), valid away from overflow."""
     p = a * b
     ah = _SPLITTER * a
     ah = ah - (ah - a)
@@ -121,36 +115,23 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
     return p, e
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    return s, e
-
-
-def _frac_two_pi(x: float) -> tuple[int, int]:
-    """Fractional part of |x|/(2*pi) as an exact pair (frac, shift):
-    the fraction equals frac / 2**shift."""
-    m, e = math.frexp(abs(x))
-    mant = int(m * 9007199254740992.0)  # 2^53; exact, |x| = mant * 2^(e-53)
-    shift = _INV_TWO_PI_BITS - e + 53
-    frac = (mant * _INV_TWO_PI_INT) & ((1 << shift) - 1)
-    return frac, shift
-
-
 def reduce_two_pi(x: float) -> float:
     """Reduce x modulo 2*pi into [0, 2*pi).
 
     Exact integer arithmetic against a 500-bit 1/(2*pi); the absolute
     error of the reduced argument is a few 1e-16 for any finite double,
-    which is what keeps sin(m*kappa) meaningful at kappa = 1e8.
+    which is what keeps sin(kappa tau / 2) meaningful at kappa = 1e8.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("reduce_two_pi requires a finite argument")
     if x == 0.0:
         return 0.0
-    frac, shift = _frac_two_pi(x)
+    # frac(|x| / 2pi) = frac / 2**shift, exactly
+    m, e = math.frexp(abs(x))
+    mant = int(m * 9007199254740992.0)  # 2^53; exact, |x| = mant * 2^(e-53)
+    shift = _INV_TWO_PI_BITS - e + 53
+    frac = (mant * _INV_TWO_PI_INT) & ((1 << shift) - 1)
     f = frac / (1 << shift)
     r = f * _TWO_PI_HI + f * _TWO_PI_LO
     if x < 0.0:
@@ -158,19 +139,6 @@ def reduce_two_pi(x: float) -> float:
     if r >= _TWO_PI_HI:
         r -= _TWO_PI_HI
     return r
-
-
-def _reduced_angle_dd(a: float) -> tuple[float, float]:
-    """a mod 2*pi for a >= 0 as a double-double (hi, lo)."""
-    if a == 0.0:
-        return 0.0, 0.0
-    frac, shift = _frac_two_pi(a)
-    top = frac >> (shift - 53)
-    f1 = top / 9007199254740992.0
-    f2 = (frac - (top << (shift - 53))) / (1 << shift)
-    p, e = _two_product(f1, _TWO_PI_HI)
-    rest = f1 * _TWO_PI_LO + f2 * _TWO_PI_HI + e
-    return _two_sum(p, rest)
 
 
 def _reduced_product(a: float, b: float) -> float:
@@ -191,26 +159,15 @@ def cos_product(a: float, b: float) -> float:
     return math.cos(_reduced_product(a, b))
 
 
-def sin_integer_multiples(angle: float, m: np.ndarray) -> np.ndarray:
-    """sin(m * angle) for an array of integer-valued m, reduced accurately.
+def clausen_sl3(x: float) -> float:
+    """sum_{m>=1} sin(m x) / m^3 in closed form.
 
-    The reduced representative of ``angle`` is carried as a double-double
-    and multiplied by m exactly, so the phase error stays ~1e-15 rad even
-    for angle ~ 1e12 and m up to 2^21.
+    The Clausen function Sl_3(x) = t (t - pi) (t - 2 pi) / 12 with
+    t = x mod 2 pi in [0, 2 pi) (DLMF 24.8(i), 25.12); t - 2 pi subtracts
+    both parts of 2 pi, so the error stays near 1e-15 for any finite x.
     """
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError("angle must be finite")
-    m = np.asarray(m, dtype=np.float64)
-    if m.size and np.max(np.abs(m)) >= _MAX_MULTIPLE:
-        raise ValueError(f"multiples must stay below 2^21, got {np.max(np.abs(m))}")
-    hi, lo = _reduced_angle_dd(abs(angle))
-    p, err = _two_product(m, hi)
-    corr = err + m * lo
-    k = np.round(p * (1.0 / _TWO_PI_HI))
-    r = ((p - k * _CW1) - k * _CW2) - k * _CW3 + corr
-    s = np.sin(r)
-    return -s if angle < 0.0 else s
+    t = reduce_two_pi(x)
+    return t * (t - math.pi) * ((t - _TWO_PI_HI) - _TWO_PI_LO) / 12.0
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,12 @@ class TestKernelSweep:
         assert code == 0
         _, _, rows = read_rows(out)
         assert len(rows) == 3
-        # the tail majorant cannot certify 1e-300 for any parameters, so
-        # every row is flagged, but the run itself completes
-        assert all(r.endswith(",no_convergence") for r in rows)
-        assert all(r.split(",")[3] == "nan" for r in rows)
+        # at tau = 0 the tail majorant is 0, so that row is exact; it
+        # cannot certify 1e-300 at tau > 0, so those rows are flagged,
+        # but the run itself completes
+        assert rows[0].endswith(",ok") and float(rows[0].split(",")[3]) == 0.0
+        assert all(r.endswith(",no_convergence") for r in rows[1:])
+        assert all(r.split(",")[3] == "nan" for r in rows[1:])
 
 
 class TestOracleCheck:
@@ -225,9 +227,11 @@ class TestFigure2:
         assert code == 0
         _, _, rows = read_rows(out_dir / "figure2_alpha0.5.csv")
         assert len(rows) == 3
-        # as in kernel-sweep: every row is flagged, the curve is still written
-        assert all(r.endswith(",no_convergence") for r in rows)
-        assert all(r.split(",")[3] == "nan" for r in rows)
+        # as in kernel-sweep: the tau = 0 row is exact, every other row
+        # is flagged, and the curve is still written
+        assert rows[0].endswith(",ok") and float(rows[0].split(",")[3]) == 0.0
+        assert all(r.endswith(",no_convergence") for r in rows[1:])
+        assert all(r.split(",")[3] == "nan" for r in rows[1:])
 
 
 class TestModesDemo:
@@ -331,12 +335,16 @@ class TestParser:
           "--stop", "1.5", "--out", "x.csv"], "--alpha"),
         (["kernel-sweep", "--sweep", "kappa", "--kappa", "10", "--start", "1",
           "--stop", "1e3", "--out", "x.csv"], "--kappa"),
+        (["kernel-sweep", "--start", "0.5", "--stop", "2", "--points", "3",
+          "--tail-bound", "inf", "--out", "x.csv"], "tail_bound"),
+        (["figure2", "--points", "3", "--tail-bound", "inf"], "tail_bound"),
     ], ids=["oracle-m-max", "oracle-kappa-grid", "oracle-tau-grid", "oracle-tolerance-nan",
             "oracle-tolerance-inf", "oracle-tolerance-negative", "oracle-nothing-compared",
             "figure2-points", "figure2-alphas", "modes-grids", "modes-grids-fraction",
             "modes-plate-separation-zero", "modes-plate-separation-negative",
             "modes-plates-plate-separation-zero", "modes-plates-plate-separation-negative",
-            "feasibility-plate-separation-zero", "sweep-tau-swept-flag", "sweep-alpha-swept-flag", "sweep-kappa-swept-flag"])
+            "feasibility-plate-separation-zero", "sweep-tau-swept-flag", "sweep-alpha-swept-flag", "sweep-kappa-swept-flag",
+            "sweep-tail-bound-inf", "figure2-tail-bound-inf"])
     def test_empty_input_is_usage_error(self, argv, named, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2

@@ -55,13 +55,15 @@ class TestValidation:
             DimensionlessParams(0.1, 50.0, 0.4, n_switches=n)
 
     def test_policy(self):
-        with pytest.raises(ValueError):
-            SeriesPolicy(tail_bound=0.0)
+        for bound in (0.0, -1e-12, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tail_bound must be finite and > 0"):
+                SeriesPolicy(tail_bound=bound)
 
     def test_kernel_term_rejects_bad_m(self):
         p = DimensionlessParams(0.5, 1e8, 1.0)
-        with pytest.raises(ValueError):
-            kernel_term(0, p)
+        for m in (0, 2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="m must be a positive integer"):
+                kernel_term(m, p)
 
     def test_general_switch_count_redirected(self):
         p = DimensionlessParams(0.5, 1e8, 1.0, 4)
@@ -112,11 +114,18 @@ class TestDecoherenceKernel:
         assert res.kernel == 1.0 and res.gamma == 0.0
 
     def test_result_invariants(self):
-        res = decoherence_kernel(DimensionlessParams(0.5, 1e8, 3.3))
+        alpha, kappa, tau = 0.5, 1e8, 3.3
+        res = decoherence_kernel(DimensionlessParams(alpha, kappa, tau))
         assert res.kernel == math.exp(-res.gamma)
         assert res.terms_used == res.per_term.shape[0]
         assert np.array_equal(res.per_term[:, 0], np.arange(1, res.terms_used + 1))
-        assert res.gamma == pytest.approx(float(res.per_term[:, 1].sum()), rel=1e-12)
+        # per_term holds the directly summed part; the switching part
+        # alpha^2 S is the closed-form rest
+        with mp.workdps(40):
+            k = mp.mpf(kappa)
+            s = -8 * mp.sin(k * mp.mpf(tau) / 2) ** 2 / (mp.pi * k) * mp.clsin(3, k)
+        rest = res.gamma - float(res.per_term[:, 1].sum())
+        assert rest == pytest.approx(alpha ** 2 * float(s), rel=1e-12, abs=1e-15)
         assert res.truncation_estimate < 1e-12
 
     def test_late_time_asymptote(self):
@@ -206,6 +215,15 @@ class TestDecoherenceKernel:
             d = decoherence_kernel(DimensionlessParams(alpha, kappa, tau)).kernel
             assert 0.0 < d <= 1.0
 
+    @pytest.mark.parametrize("tau", [0.3, 1.5, 4.9])
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 50.0])
+    def test_matches_image_sum_quadrature(self, kappa, tau):
+        """Small cutoffs converge (the switching part needs no terms) and
+        agree with the independent closed-image-sum quadrature."""
+        p = DimensionlessParams(1.0, kappa, tau)
+        got = decoherence_kernel(p).gamma
+        assert abs(got - modesum.exponent_general_n(p)) <= 1e-12
+
     def test_oracle_equivalence_spot(self):
         alpha = 0.3
         for m, kappa, tau in [(1, 50.0, 0.9), (4, 200.0, 2.5), (6, 1000.0, 0.3)]:
@@ -223,6 +241,15 @@ class TestKernelNoCutoff:
     def test_plate_separation_rejected(self, L):
         with pytest.raises(ValueError, match="plate separation L must be finite and > 0"):
             kernel_no_cutoff(0.3, L, 1e-12)
+
+    @pytest.mark.parametrize("max_terms", [0, 2.5, math.inf, math.nan])
+    def test_max_terms_must_be_positive_integer(self, max_terms):
+        with pytest.raises(ValueError, match="max_terms must be a positive integer"):
+            kernel_no_cutoff(0.5, 1.0, 2.5e-9, max_terms=max_terms)
+
+    def test_integer_valued_max_terms_accepted(self):
+        res = kernel_no_cutoff(0.5, 1.0, 2.5e-9, max_terms=3.0)
+        assert res.terms_used == 3 and isinstance(res.terms_used, int)
 
     def test_integer_tau_rejected(self):
         L = 1.0
@@ -329,6 +356,5 @@ class TestTailMajorant:
         floor = max(SeriesPolicy.min_terms, math.ceil(tau) + 10)
         M = data.draw(st.integers(floor, 8 * floor), label="M")
         m = np.arange(M + 1, 16 * M + 1, dtype=np.float64)
-        sin_half_sq = specfun.sin_product(kappa, 0.5 * tau) ** 2
-        tail = np.abs(kernel._term_base(m, kappa, tau, sin_half_sq)).sum()
+        tail = np.abs(kernel._term_base(m, kappa, tau)).sum()
         assert tail <= kernel._tail_majorant(1.0, kappa, tau, M)

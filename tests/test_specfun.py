@@ -150,14 +150,6 @@ class TestArgumentReduction:
                 assert err <= 1e-10  # design bound; typically ~1e-15
                 assert 0.0 <= r < 2 * math.pi + 1e-15
 
-    def test_sin_integer_multiples_at_cutoff_scale(self):
-        kappa = 1e8
-        m = np.arange(1, 4001, 37)
-        got = specfun.sin_integer_multiples(kappa, m)
-        with mp.workdps(60):
-            ref = np.array([float(mp.sin(mp.mpf(int(mm)) * mp.mpf(kappa))) for mm in m])
-        assert np.max(np.abs(got - ref)) <= 1e-10
-
     def test_sin_product_exact_product(self):
         # kappa * tau / 2 at the 1e9 scale where naive products round
         with mp.workdps(60):
@@ -190,19 +182,15 @@ class TestArgumentReduction:
         assert abs(specfun.sin_product(a, b) - ref_s) <= 4e-15
         assert abs(specfun.cos_product(a, b) - ref_c) <= 4e-15
 
-    @settings(max_examples=100, deadline=None, database=None)
-    @given(angle=st.floats(1.0, 1e13), negative=st.booleans(),
-           m=st.lists(st.integers(0, 2 ** 21 - 1), min_size=1, max_size=16))
-    def test_sin_integer_multiples_property(self, angle, negative, m):
-        angle = -angle if negative else angle
-        got = specfun.sin_integer_multiples(angle, np.array(m, dtype=np.float64))
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(log_x=st.floats(-2.0, 12.0), negative=st.booleans())
+    def test_clausen_sl3_property(self, log_x, negative):
+        """sum_m sin(m x) / m^3 in closed form against 60-digit mpmath."""
+        x = 10.0 ** log_x
+        x = -x if negative else x
         with mp.workdps(60):
-            ref = np.array([float(mp.sin(k * mp.mpf(angle))) for k in m])
-        assert np.max(np.abs(got - ref)) <= 4e-15
-
-    def test_multiple_bound(self):
-        with pytest.raises(ValueError):
-            specfun.sin_integer_multiples(1.0, np.array([2 ** 21 + 1]))
+            ref = float(mp.clsin(3, mp.mpf(x)))
+        assert abs(specfun.clausen_sl3(x) - ref) <= 2e-15
 
 
 class TestContinuedFraction:
