@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import C_LIGHT, EPS0, HBAR, dipole_coupling_scale
+from .errors import check_antisymmetric, check_count, check_real
 from . import modesum
 
 __all__ = [
@@ -73,12 +74,9 @@ class ModeGrid:
     L: float
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.k_par_points < 2:
-            raise ValueError("k_par_points must be >= 2")
-        if not (self.k_par_max > 0.0 and math.isfinite(self.k_par_max)):
-            raise ValueError("k_par_max must be positive")
+        for name, minimum in (("n_max", 1), ("k_par_points", 2)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), minimum))
+        check_real("k_par_max", self.k_par_max, positive=True)
         dipole_coupling_scale(self.L)
 
     @property
@@ -130,35 +128,34 @@ class CoherentAmplitude:
     k_par: float
 
 
-def _position_factor(tag: str, n: np.ndarray) -> np.ndarray:
-    if tag == "center":
+def _d_chi(profile: DipoleProfile, n: np.ndarray) -> np.ndarray:
+    """d chi_n, the only way a profile enters a mode amplitude."""
+    if profile.position_tag == "center":
         # cos(n pi / 2): exactly 0 for odd n, (-1)^(n/2) for even n
-        out = np.zeros(n.shape, dtype=np.float64)
-        even = n % 2 == 0
-        out[even] = np.where(n[even] % 4 == 0, 1.0, -1.0)
-        return out
-    if tag == "left_plate":
-        return np.ones(n.shape, dtype=np.float64)
-    return np.where(n % 2 == 0, 1.0, -1.0)  # right plate, (-1)^n
+        chi = np.where(n % 2 == 0, np.where(n % 4 == 0, 1.0, -1.0), 0.0)
+    elif profile.position_tag == "left_plate":
+        chi = np.ones(n.shape)
+    else:
+        chi = np.where(n % 2 == 0, 1.0, -1.0)  # right plate, (-1)^n
+    return profile.d * chi
 
 
-def _signed_displacement(d: float, tag: str, T: float, N: int, kp: np.ndarray,
+def _signed_displacement(d_chi: np.ndarray, T: float, N: int, kp: np.ndarray,
                          n: np.ndarray, grid: ModeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Signed real displacement R of the modes (kp, n) and their cutoff mask.
 
-    kp and n broadcast against each other.  R is left unmasked: modes
-    beyond the cutoff keep their value, and only ``overlap`` drops them.
-    The common phase e^{-i phi} is position independent and drops out of
-    every |alpha_a - alpha_b|; it is reattached only in ``amplitude``.
+    kp, n and d_chi (``_d_chi`` or a difference of two) broadcast.  R is
+    left unmasked; only ``overlap`` drops the modes beyond the cutoff.  The
+    common phase e^{-i phi} is position independent and drops out of every
+    |alpha_a - alpha_b|; it is reattached only in ``amplitude``.
     """
     k_sq = kp ** 2 + (n * math.pi / grid.L) ** 2
     inside = k_sq <= grid.k_par_max ** 2
     omega = C_LIGHT * np.sqrt(k_sq)
     f = np.where(n == 0, 1.0 / math.sqrt(2.0), 1.0)
-    chi = _position_factor(tag, n)
     switch = modesum._switch_ratio(omega * T / 2.0, N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = d * f * kp * C_LIGHT * chi * switch / (
+        r = d_chi * f * kp * C_LIGHT * switch / (
             2.0 * math.pi * np.sqrt(omega ** 3 * HBAR * EPS0 * grid.L)
         )
     # k_par = 0 modes: the numerator k_par wins over omega^(-3/2), limit 0
@@ -172,13 +169,14 @@ def amplitude(mode: tuple[int, float], profile: DipoleProfile, T: float,
     The stored phase is phi = pi + (N + 1) omega T / 2, shifted by pi
     when the real prefactor is negative so that modulus stays >= 0.
     """
-    n, k_par = int(mode[0]), float(mode[1])
-    if not (0 <= n <= grid.n_max):
+    n, k_par = check_count("n", mode[0], minimum=0), float(mode[1])
+    if n > grid.n_max:
         raise ValueError(f"mode integer n = {n} outside the grid 0..{grid.n_max}")
     if not (0.0 <= k_par <= grid.k_par_max):
         raise ValueError("k_par outside the grid range")
-    r, _ = _signed_displacement(profile.d, profile.position_tag, T, N,
-                                np.array([k_par]), np.array([n]), grid)
+    check_real("T", T)
+    ns = np.array([n])
+    r, _ = _signed_displacement(_d_chi(profile, ns), T, N, np.array([k_par]), ns, grid)
     signed = float(r[0])
     omega = C_LIGHT * math.hypot(k_par, n * math.pi / grid.L)
     phase = math.pi + (N + 1) * omega * T / 2.0
@@ -204,13 +202,14 @@ def overlap(profile_a: DipoleProfile, profile_b: DipoleProfile, T: float,
     evaluations are bitwise identical.
     """
     _check_compatible(profile_a, profile_b)
-    if T < 0.0 or not math.isfinite(T):
-        raise ValueError("T must be finite and >= 0")
-    kp, n = grid.k_par[:, None], grid.n_values[None, :]
-    r_a, inside = _signed_displacement(profile_a.d, profile_a.position_tag, T, N,
-                                       kp, n, grid)
-    r_b, _ = _signed_displacement(profile_b.d, profile_b.position_tag, T, N, kp, n, grid)
-    diff_sq = np.where(inside, r_a - r_b, 0.0) ** 2
+    check_real("T", T)
+    # evaluate only the n whose k_par = 0 mode is inside the cutoff; the
+    # other columns stay zero, so the sum runs in the full grid's order
+    n = grid.n_values[(grid.n_values * math.pi / grid.L) ** 2 <= grid.k_par_max ** 2]
+    diff, inside = _signed_displacement(_d_chi(profile_a, n) - _d_chi(profile_b, n), T, N,
+                                        grid.k_par[:, None], n, grid)
+    diff_sq = np.zeros((grid.k_par_points, grid.n_max + 1))
+    diff_sq[:, :n.size] = np.where(inside, diff, 0.0) ** 2
     measure = grid.trapezoid_weights[:, None] * 2.0 * math.pi * grid.k_par[:, None]
     exponent = 0.5 * float(np.sum(measure * diff_sq))
     return math.exp(-exponent)
@@ -228,10 +227,8 @@ def overlap_excluding_free_space(profile_a: DipoleProfile,
     case in which the plate overlap reduces to the same even-image sum.
     """
     _check_compatible(profile_a, profile_b)
-    delta = profile_b.d - profile_a.d
-    plates = profile_a.position_tag != "center"
-    if plates and abs(profile_a.d + profile_b.d) > 1e-9 * abs(delta):
-        raise ValueError("free-space subtraction at the plates requires d_a = -d_b")
+    delta = (profile_b.d - profile_a.d if profile_a.position_tag == "center"
+             else check_antisymmetric(profile_a.d, profile_b.d))
     alpha = abs(delta) / dipole_coupling_scale(grid.L)
     tau = C_LIGHT * T / grid.L
     gamma_free = alpha ** 2 / math.pi * modesum.m0_term(grid.kappa, tau)

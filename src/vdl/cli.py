@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, cavityfield, feasibility, kernel, modesum
 from .constants import C_LIGHT, EPS0, HBAR, dipole_coupling_scale
-from .errors import CapabilityError, ConvergenceError
+from .errors import CapabilityError, ConvergenceError, check_count, check_real
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,8 +92,9 @@ def _write_text(path: Path, lines: list[str]):
 
 
 def parse_config(path: Path) -> dict[str, str]:
-    """Flat ``key = value`` file of feasibility keys; '#' starts a comment."""
+    """Flat ``key = value`` file of feasibility keys, each set once; '#' starts a comment."""
     values: dict[str, str] = {}
+    seen: dict[str, int] = {}
     text = path.read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,6 +105,9 @@ def parse_config(path: Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS and key not in _OPTIONAL_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key in seen:
+            raise UsageError(f"{path}:{lineno}: {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         values[key] = value
     return values
 
@@ -119,13 +123,11 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def _sweep_values(args) -> np.ndarray:
-    if args.points < 2:
-        raise UsageError("--points must be >= 2")
+    check_count("--points", args.points, minimum=2)
     if not (args.start < args.stop):
         raise UsageError("--start must be below --stop")
     if args.scale == "log":
-        if args.start <= 0:
-            raise UsageError("log scale requires --start > 0")
+        check_real("--start", args.start, positive=True)
         return np.geomspace(args.start, args.stop, args.points)
     return np.linspace(args.start, args.stop, args.points)
 
@@ -167,10 +169,8 @@ def cmd_kernel_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.m_max < 1:
-        raise UsageError("--m-max must be >= 1")
-    if not 0.0 < args.tolerance < float("inf"):
-        raise UsageError("--tolerance must be finite and > 0")
+    check_count("--m-max", args.m_max)
+    check_real("--tolerance", args.tolerance, positive=True)
     kappas = _float_list(args.kappa_grid, "--kappa-grid")
     taus = _float_list(args.tau_grid, "--tau-grid")
     alpha = args.alpha
@@ -291,15 +291,15 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_figure2(args) -> int:
-    if args.points < 2:
-        raise UsageError("--points must be >= 2")
+    check_count("--points", args.points, minimum=2)
     alphas = _float_list(args.alphas, "--alphas")
     taus = np.linspace(0.0, args.tau_max, args.points)
-    out_dir = Path(args.out_dir)
-    for alpha in alphas:
-        lines = _manifest_lines(args, alpha=alpha) + _curve_lines(
-            [(alpha, args.kappa, float(tau)) for tau in taus], args.tail_bound)
-        path = out_dir / f"figure2_alpha{alpha:g}.csv"
+    # build every curve first: a bad alpha must leave no file behind
+    curves = [(alpha, _manifest_lines(args, alpha=alpha) + _curve_lines(
+        [(alpha, args.kappa, float(tau)) for tau in taus], args.tail_bound))
+        for alpha in alphas]
+    for alpha, lines in curves:
+        path = Path(args.out_dir) / f"figure2_alpha{alpha:g}.csv"
         _write_text(path, lines)
         print(f"wrote {path}")
     return EXIT_OK
@@ -308,9 +308,7 @@ def cmd_figure2(args) -> int:
 def cmd_modes_demo(args) -> int:
     if args.kappa > 100.0:
         raise UsageError("modes-demo is a demonstration tool: kappa must be <= 100")
-    grids = _float_list(args.grids, "--grids")
-    if not all(g.is_integer() for g in grids):
-        raise UsageError("--grids expects integer grid sizes")
+    grids = [check_count("--grids", g, minimum=2) for g in _float_list(args.grids, "--grids")]
     L = args.plate_separation
     d = args.dipole
     T = args.tau * L / C_LIGHT
@@ -328,7 +326,7 @@ def cmd_modes_demo(args) -> int:
         label = "modesum"
     n_cavity = int(np.ceil(args.kappa / np.pi))
     rows = []
-    for g in map(int, grids):
+    for g in grids:
         grid = cavityfield.ModeGrid(
             n_max=max(g, n_cavity), k_par_max=args.kappa / L,
             k_par_points=g, L=L,

@@ -7,6 +7,8 @@ kernel parameters is reproducible bit for bit.
 
 import math
 
+from .errors import check_real
+
 # speed of light in vacuum, m/s (exact)
 C_LIGHT = 2.99792458e8
 
@@ -29,7 +31,5 @@ EULER_GAMMA = 0.57721566490153286
 def dipole_coupling_scale(plate_separation: float) -> float:
     """Return L*sqrt(4*pi*eps0*hbar*c), the dipole moment that corresponds
     to unit dimensionless coupling alpha for plates a distance L apart."""
-    if not (math.isfinite(plate_separation) and plate_separation > 0.0):
-        raise ValueError(
-            f"plate separation L must be finite and > 0, got {plate_separation!r}")
+    check_real("plate separation L", plate_separation, positive=True)
     return plate_separation * math.sqrt(4.0 * math.pi * EPS0 * HBAR * C_LIGHT)

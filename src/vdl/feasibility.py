@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import C_LIGHT, EPS0, HBAR, dipole_coupling_scale
+from .errors import check_real
 from .kernel import DecoherenceResult, DimensionlessParams, decoherence_kernel
 
 __all__ = [
@@ -72,12 +73,6 @@ IMAGE_CHARGE_MARGIN = 1e-2
 TRANSIT_CONVENTIONS = ("sigma", "two_sigma")
 
 
-def _require_positive(**values):
-    for name, v in values.items():
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {v!r}")
-
-
 @dataclass(frozen=True)
 class MoleculeSpec:
     """Polarizable particle: alpha_p in C m^2/V, size and mass SI."""
@@ -89,8 +84,8 @@ class MoleculeSpec:
     velocity: float
 
     def __post_init__(self):
-        _require_positive(polarizability=self.polarizability, size=self.size,
-                          mass=self.mass, velocity=self.velocity)
+        for name in ("polarizability", "size", "mass", "velocity"):
+            check_real(name, getattr(self, name), positive=True)
 
 
 @dataclass(frozen=True)
@@ -106,10 +101,9 @@ class LaserConfig:
     grating_period: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.power) and self.power >= 0.0):
-            raise ValueError(f"power must be finite and >= 0, got {self.power!r}")
-        _require_positive(sigma_y=self.sigma_y, sigma_z=self.sigma_z,
-                          grating_period=self.grating_period)
+        check_real("power", self.power)
+        for name in ("sigma_y", "sigma_z", "grating_period"):
+            check_real(name, getattr(self, name), positive=True)
 
     @property
     def above_diffraction_limit(self) -> bool:
@@ -127,7 +121,7 @@ class CavityConfig:
 
     def __post_init__(self):
         dipole_coupling_scale(self.plate_separation)
-        _require_positive(cutoff_wavenumber=self.cutoff_wavenumber)
+        check_real("cutoff_wavenumber", self.cutoff_wavenumber, positive=True)
 
     @property
     def kappa(self) -> float:
@@ -171,8 +165,7 @@ def efield_amplitude(laser: LaserConfig) -> float:
 
 def induced_dipole(molecule: MoleculeSpec, efield: float) -> float:
     """|d| = alpha_p |E|."""
-    if not (math.isfinite(efield) and efield >= 0.0):
-        raise ValueError("efield must be finite and >= 0")
+    check_real("efield", efield)
     return molecule.polarizability * efield
 
 
@@ -183,8 +176,7 @@ def alpha_from_dipole(d_on: float, d_off: float, cavity: CavityConfig) -> float:
 
 def dipole_threshold(alpha_crit: float, cavity: CavityConfig) -> float:
     """Dipole moment needed to reach a given critical coupling."""
-    if not (math.isfinite(alpha_crit) and alpha_crit >= 0.0):
-        raise ValueError("alpha_crit must be finite and >= 0")
+    check_real("alpha_crit", alpha_crit)
     return alpha_crit * dipole_coupling_scale(cavity.plate_separation)
 
 
@@ -224,9 +216,8 @@ def image_charge_assessment(d: float, cavity: CavityConfig, transit_time: float
     value applied at distance L (superposition near the center).  The
     verdict passes when transit_time / tau_d <= 1e-2.
     """
-    _require_positive(transit_time=transit_time)
-    if not (math.isfinite(d) and d >= 0.0):
-        raise ValueError("dipole must be finite and >= 0")
+    check_real("transit_time", transit_time, positive=True)
+    check_real("dipole", d)
     L = cavity.plate_separation
     q = d / L
     tau_d = (1e4 * L) ** 3 * 1e-5

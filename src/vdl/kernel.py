@@ -56,9 +56,9 @@ from typing import ClassVar
 import numpy as np
 
 from .constants import EULER_GAMMA, C_LIGHT, dipole_coupling_scale
-from .errors import ConvergenceError
+from .errors import (ConvergenceError, check_antisymmetric, check_count, check_real,
+                     check_switch_count)
 from . import specfun
-from .modesum import _check_count, _check_switch_count
 
 __all__ = [
     "DimensionlessParams",
@@ -89,13 +89,10 @@ class DimensionlessParams:
     n_switches: int = 2
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError("alpha must be finite and >= 0")
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ValueError("kappa must be finite and positive")
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValueError("tau must be finite and >= 0")
-        _check_switch_count(self.n_switches)
+        check_real("alpha", self.alpha)
+        check_real("kappa", self.kappa, positive=True)
+        check_real("tau", self.tau)
+        check_switch_count(self.n_switches)
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,7 @@ class SeriesPolicy:
     max_terms: ClassVar[int] = 10 ** 6
 
     def __post_init__(self):
-        if not (math.isfinite(self.tail_bound) and self.tail_bound > 0.0):
-            raise ValueError(f"tail_bound must be finite and > 0, got {self.tail_bound!r}")
+        check_real("tail_bound", self.tail_bound, positive=True)
 
 
 _DEFAULT_POLICY = SeriesPolicy()
@@ -176,7 +172,7 @@ def kernel_term(m: int, p: DimensionlessParams) -> float:
     Finite for every tau >= 0 including the resonances tau = m, where
     the value is the two-sided limit of the raw cutoff formula.
     """
-    m = _check_count("m", m)
+    m = check_count("m", m)
     switching = _switching_prefactor(p)
     base = float(_term_base(np.array([float(m)]), p.kappa, p.tau)[0])
     return p.alpha ** 2 * (base + switching * specfun.sin_product(p.kappa, m) / m ** 3)
@@ -252,12 +248,10 @@ def kernel_no_cutoff(alpha: float, L: float, T: float,
     cutoff form stays finite there, which is one reason it is the
     production path.
     """
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError("alpha must be finite and >= 0")
+    check_real("alpha", alpha)
     dipole_coupling_scale(L)
-    if not (T >= 0.0 and math.isfinite(T)):
-        raise ValueError("T must be finite and >= 0")
-    max_terms = _check_count("max_terms", max_terms)
+    check_real("T", T)
+    max_terms = check_count("max_terms", max_terms)
     tau = C_LIGHT * T / L
     resonance = round(tau)
     if tau == resonance and 1 <= resonance <= max_terms:
@@ -289,10 +283,5 @@ def kernel_at_plates(d_left: float, d_right: float, L: float,
     kernel); the coupling is alpha = |d_right - d_left| /
     (L sqrt(4 pi eps0 hbar c)).
     """
-    delta = d_right - d_left
-    if abs(d_left + d_right) > 1e-9 * abs(delta):
-        raise ValueError(
-            "plates kernel requires the antisymmetric profile d_left = -d_right"
-        )
-    alpha = abs(delta) / dipole_coupling_scale(L)
+    alpha = abs(check_antisymmetric(d_left, d_right)) / dipole_coupling_scale(L)
     return decoherence_kernel(DimensionlessParams(alpha, kappa, tau))

@@ -39,7 +39,8 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityError, ConvergenceError
+from .errors import (CapabilityError, ConvergenceError, check_count, check_real,
+                     check_switch_count)
 from .specfun import (_TWO_PI_HI, _TWO_PI_LO, angular_kernel_j, cos_product,
                       sin_product)
 
@@ -128,13 +129,10 @@ def radial_integral_m(m: int, kappa: float, tau: float, *,
     Estimated error <= rel_tol * |I_m| + 1e-11; panel density resolves
     both phases m*q and q*tau.
     """
-    if not (rel_tol > 0.0):
-        raise ValueError("rel_tol must be positive")
-    m = _check_count("m", m)
-    if tau < 0.0 or not math.isfinite(tau):
-        raise ValueError("tau must be finite and >= 0")
-    if kappa <= 0.0 or not math.isfinite(kappa):
-        raise ValueError("kappa must be finite and positive")
+    check_real("rel_tol", rel_tol, positive=True)
+    m = check_count("m", m)
+    check_real("tau", tau)
+    check_real("kappa", kappa, positive=True)
     _check_budget(m, kappa, tau)
     if tau == 0.0:
         return 0.0
@@ -159,10 +157,8 @@ def m0_term(kappa: float, tau: float) -> float:
     the switched-dipole scenario; it is exposed for documentation and
     for subtracting the free-space part from grid-simulator overlaps.
     """
-    if kappa <= 0.0 or not math.isfinite(kappa):
-        raise ValueError("kappa must be finite and positive")
-    if tau < 0.0 or not math.isfinite(tau):
-        raise ValueError("tau must be finite and >= 0")
+    check_real("kappa", kappa, positive=True)
+    check_real("tau", tau)
     if tau == 0.0:
         return 0.0
     kt_hi = kappa * tau
@@ -187,22 +183,9 @@ def switching_spectrum(omega_t_half: float, n_switches: int) -> float:
     return abs(_switch_ratio(np.float64(omega_t_half), n_switches))
 
 
-def _check_count(name: str, n) -> int:
-    """A count >= 1 given as any finite integer value (3 or 3.0), as int."""
-    if not (math.isfinite(n) and n >= 1 and n == int(n)):
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
-    return int(n)
-
-
-def _check_switch_count(n) -> None:
-    """Even and >= 2: the dipole must be off after the last switch."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2 and n % 2 == 0):
-        raise ValueError(f"n_switches must be an even integer >= 2, got {n!r}")
-
-
 def _switch_ratio(theta, n_switches: int):
     """Signed sin(N theta)/cos(theta) for even N; array friendly."""
-    _check_switch_count(n_switches)
+    check_switch_count(n_switches)
     c2 = np.cos(theta) ** 2
     v = np.full_like(np.asarray(theta, dtype=np.float64), 2.0)  # U_1(c)/c
     w = np.ones_like(v)  # U_0(c)

@@ -39,6 +39,10 @@ class TestModeGrid:
             ModeGrid(n_max=5, k_par_max=1e4, k_par_points=1, L=L)
         with pytest.raises(ValueError):
             ModeGrid(n_max=5, k_par_max=-1.0, k_par_points=10, L=L)
+        with pytest.raises(ValueError):
+            ModeGrid(n_max=2.5, k_par_max=1e4, k_par_points=10, L=L)
+        with pytest.raises(ValueError):
+            ModeGrid(n_max=5, k_par_max=1e4, k_par_points=10.5, L=L)
 
     @pytest.mark.parametrize("bad_L", [math.nan, 0.0, -1e-3])
     def test_plate_separation_rejected(self, bad_L):
@@ -106,6 +110,8 @@ class TestAmplitude:
             amplitude((grid.n_max + 1, 1e4), DipoleProfile("center", 1e-22), T, 2, grid)
         with pytest.raises(ValueError):
             amplitude((0, 2.0 * grid.k_par_max), DipoleProfile("center", 1e-22), T, 2, grid)
+        with pytest.raises(ValueError):
+            amplitude((2.7, 1e4), DipoleProfile("center", 1e-22), T, 2, grid)
 
     def test_odd_switch_count_rejected(self):
         grid = make_grid(16)

@@ -198,6 +198,18 @@ class TestFeasibilityCommand:
         assert run(["feasibility", "--config", str(typo)]) == 2
         assert "run.transit_conventon" in capsys.readouterr().err
 
+    def test_duplicate_config_key_rejected(self, tmp_path, capsys):
+        text = bundled_config("na_cluster.cfg").read_text()
+        first = 1 + next(i for i, ln in enumerate(text.splitlines())
+                         if ln.startswith("laser.power"))
+        dup = tmp_path / "dup.cfg"
+        dup.write_text(text + "laser.power = 0.001\n")
+        second = len(text.splitlines()) + 1
+        assert run(["feasibility", "--config", str(dup)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{dup}:{second}: 'laser.power' already set on line {first}" in captured.err
+
     def test_nonphysical_value_rejected(self, capsys):
         code = run(["feasibility", "--config", str(bundled_config("na_cluster.cfg")),
                     "--plate-separation", "-1"])
@@ -319,6 +331,7 @@ class TestParser:
           "--out", "x.txt"], "quadrature budget kappa*max(m, tau) <= 1e+06"),
         (["figure2", "--points", "1"], "--points"),
         (["figure2", "--alphas", ""], "--alphas"),
+        (["figure2", "--points", "3", "--alphas", "0.1,-1"], "alpha"),
         (["modes-demo", "--grids", "", "--out", "x.csv"], "--grids"),
         (["modes-demo", "--grids", "20.9,40.2", "--out", "x.csv"], "--grids"),
         (["modes-demo", "--plate-separation", "0", "--out", "x.csv"], "plate separation"),
@@ -340,7 +353,7 @@ class TestParser:
         (["figure2", "--points", "3", "--tail-bound", "inf"], "tail_bound"),
     ], ids=["oracle-m-max", "oracle-kappa-grid", "oracle-tau-grid", "oracle-tolerance-nan",
             "oracle-tolerance-inf", "oracle-tolerance-negative", "oracle-nothing-compared",
-            "figure2-points", "figure2-alphas", "modes-grids", "modes-grids-fraction",
+            "figure2-points", "figure2-alphas", "figure2-alphas-negative", "modes-grids", "modes-grids-fraction",
             "modes-plate-separation-zero", "modes-plate-separation-negative",
             "modes-plates-plate-separation-zero", "modes-plates-plate-separation-negative",
             "feasibility-plate-separation-zero", "sweep-tau-swept-flag", "sweep-alpha-swept-flag", "sweep-kappa-swept-flag",

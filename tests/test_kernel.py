@@ -1,6 +1,7 @@
 """Closed-form kernel: trivial zeros, oracle match, resonances, asymptotics."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -201,6 +202,16 @@ class TestDecoherenceKernel:
                 prev = worst
             assert worst <= 1e-6
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(m0=st.integers(1, 5), log_kappa=st.floats(2.0, 8.0))
+    def test_continuous_across_resonance(self, m0, log_kappa):
+        kappa = 10.0 ** log_kappa
+        eps = 1e-4 / kappa
+        g0 = decoherence_kernel(DimensionlessParams(0.5, kappa, float(m0))).gamma
+        for tau in (m0 - eps, m0 + eps):
+            g = decoherence_kernel(DimensionlessParams(0.5, kappa, tau)).gamma
+            assert abs(g - g0) <= 1e-5 * g0
+
     def test_cutoff_insensitivity_late_times(self):
         g7 = decoherence_kernel(DimensionlessParams(0.5, 1e7, 10.5)).gamma
         g8 = decoherence_kernel(DimensionlessParams(0.5, 1e8, 10.5)).gamma
@@ -344,6 +355,23 @@ class TestScaling:
             g2 = decoherence_kernel(DimensionlessParams(c * alpha, kappa, tau), policy).gamma
             if g1 != 0.0:
                 assert g2 / g1 == pytest.approx(c * c, rel=5e-15)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(log_alpha=st.floats(-3.0, 1.0), log_kappa=st.floats(-2.0, 8.0),
+           tau=st.floats(0.0, 100.0))
+    def test_doubling_alpha_scales_gamma_by_exactly_four(self, log_alpha, log_kappa, tau):
+        # alpha enters only as the prefactor alpha^2, and (2 alpha)^2 = 4 alpha^2
+        # is exact; a fixed term count keeps the summed series the same.  The
+        # scaling is bitwise while gamma is a normal float; at tau below about
+        # 1e-150 gamma is subnormal, where each product rounds to 2^-1074.
+        policy = SeriesPolicy(tail_bound=1e300)
+        alpha, kappa = 10.0 ** log_alpha, 10.0 ** log_kappa
+        g1 = decoherence_kernel(DimensionlessParams(alpha, kappa, tau), policy).gamma
+        g2 = decoherence_kernel(DimensionlessParams(2.0 * alpha, kappa, tau), policy).gamma
+        if abs(g1) >= sys.float_info.min:
+            assert g2 == 4.0 * g1
+        else:
+            assert abs(g2 - 4.0 * g1) <= 4.0 * 2.0 ** -1074
 
 
 class TestTailMajorant:

@@ -204,6 +204,6 @@ class TestImageSum:
 
 class TestRelTol:
     def test_validation(self):
-        for rel_tol in (0.0, -1e-9):
+        for rel_tol in (0.0, -1e-9, math.inf):
             with pytest.raises(ValueError):
                 modesum.radial_integral_m(1, 50.0, 0.4, rel_tol=rel_tol)
