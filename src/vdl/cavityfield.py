@@ -231,5 +231,5 @@ def overlap_excluding_free_space(profile_a: DipoleProfile,
              else check_antisymmetric(profile_a.d, profile_b.d))
     alpha = abs(delta) / dipole_coupling_scale(grid.L)
     tau = C_LIGHT * T / grid.L
-    gamma_free = alpha ** 2 / math.pi * modesum.m0_term(grid.kappa, tau)
+    gamma_free = alpha * alpha / math.pi * modesum.m0_term(grid.kappa, tau)
     return overlap(profile_a, profile_b, T, 2, grid) * math.exp(gamma_free)

@@ -56,10 +56,6 @@ _OPTIONAL_KEYS = ("molecule.name", "run.transit_convention")
 _SWEEP_DEFAULTS = {"alpha": 0.5, "kappa": 1e8, "tau": 0.0}
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -101,12 +97,12 @@ def parse_config(path: Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS and key not in _OPTIONAL_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown configuration key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
         if key in seen:
-            raise UsageError(f"{path}:{lineno}: {key!r} already set on line {seen[key]}")
+            raise ValueError(f"{path}:{lineno}: {key!r} already set on line {seen[key]}")
         seen[key] = lineno
         values[key] = value
     return values
@@ -118,14 +114,14 @@ def _float_list(text: str, flag: str) -> list[float]:
     except ValueError:
         values = []
     if not values:
-        raise UsageError(f"{flag} expects a non-empty comma-separated list of numbers")
+        raise ValueError(f"{flag} expects a non-empty comma-separated list of numbers")
     return values
 
 
 def _sweep_values(args) -> np.ndarray:
     check_count("--points", args.points, minimum=2)
     if not (args.start < args.stop):
-        raise UsageError("--start must be below --stop")
+        raise ValueError("--start must be below --stop")
     if args.scale == "log":
         check_real("--start", args.start, positive=True)
         return np.geomspace(args.start, args.stop, args.points)
@@ -155,7 +151,7 @@ def _curve_lines(points, tail_bound: float) -> list[str]:
 
 def cmd_kernel_sweep(args) -> int:
     if getattr(args, args.sweep) is not None:
-        raise UsageError(f"--{args.sweep} is the swept variable; "
+        raise ValueError(f"--{args.sweep} is the swept variable; "
                          "its values come from --start, --stop and --points")
     values = _sweep_values(args)
     fixed = {k: default if getattr(args, k) is None else getattr(args, k)
@@ -184,7 +180,7 @@ def cmd_oracle_check(args) -> int:
                 params = kernel.DimensionlessParams(alpha, kappa, tau)
                 closed = kernel.kernel_term(m, params)
                 try:
-                    quad = 2.0 * alpha ** 2 / np.pi * modesum.radial_integral_m(
+                    quad = 2.0 * alpha * alpha / np.pi * modesum.radial_integral_m(
                         m, kappa, tau, rel_tol=rel_tol)
                 except CapabilityError as exc:
                     rows.append((m, kappa, tau, closed, float("nan"),
@@ -197,7 +193,7 @@ def cmd_oracle_check(args) -> int:
                 failed |= status == "FAIL"
                 rows.append((m, kappa, tau, closed, quad, rel, status))
     if all(status.startswith("capability:") for *_, status in rows):
-        raise UsageError(
+        raise ValueError(
             "no row was compared: every (m, kappa, tau) exceeds the oscillatory "
             f"quadrature budget kappa*max(m, tau) <= {modesum.OSCILLATION_BUDGET:.0e}")
     header = f"{'m':>3} {'kappa':>9} {'tau':>6} {'closed':>24} {'quadrature':>24} {'rel_err':>10} status"
@@ -224,13 +220,13 @@ def _load_feasibility_inputs(args):
             raw[key] = str(getattr(args, key))
     missing = [k for k in _CONFIG_KEYS if k not in raw]
     if missing:
-        raise UsageError("missing required configuration keys: " + "; ".join(
+        raise ValueError("missing required configuration keys: " + "; ".join(
             f"{k} [{_CONFIG_KEYS[k][1]}] or {_CONFIG_KEYS[k][0]}" for k in missing))
     def num(key):
         try:
             return float(raw[key])
         except ValueError:
-            raise UsageError(f"configuration key {key} is not a number: {raw[key]!r}")
+            raise ValueError(f"configuration key {key} is not a number: {raw[key]!r}")
     molecule = feasibility.MoleculeSpec(
         name=raw.get("molecule.name", args.config or "molecule"),
         polarizability=num("molecule.polarizability"),
@@ -307,7 +303,7 @@ def cmd_figure2(args) -> int:
 
 def cmd_modes_demo(args) -> int:
     if args.kappa > 100.0:
-        raise UsageError("modes-demo is a demonstration tool: kappa must be <= 100")
+        raise ValueError("modes-demo is a demonstration tool: kappa must be <= 100")
     grids = [check_count("--grids", g, minimum=2) for g in _float_list(args.grids, "--grids")]
     L = args.plate_separation
     d = args.dipole
@@ -429,7 +425,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"vdl {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -175,7 +175,7 @@ def kernel_term(m: int, p: DimensionlessParams) -> float:
     m = check_count("m", m)
     switching = _switching_prefactor(p)
     base = float(_term_base(np.array([float(m)]), p.kappa, p.tau)[0])
-    return p.alpha ** 2 * (base + switching * specfun.sin_product(p.kappa, m) / m ** 3)
+    return p.alpha * p.alpha * (base + switching * specfun.sin_product(p.kappa, m) / m ** 3)
 
 
 def _tail_majorant(alpha: float, kappa: float, tau: float, m_used: int) -> float:
@@ -183,7 +183,7 @@ def _tail_majorant(alpha: float, kappa: float, tau: float, m_used: int) -> float
     bracket part beyond M = m_used terms (module docstring)."""
     gap = max(m_used + 1.0 - tau, 1.0)
     ci_part = (2.0 * tau / kappa) * (1.0 / gap + 1.0 / (kappa * gap * gap))
-    return (alpha ** 2 / math.pi) * (2.0 * tau ** 2 / gap + ci_part) / m_used ** 2
+    return (alpha * alpha / math.pi) * (2.0 * tau ** 2 / gap + ci_part) / m_used ** 2
 
 
 def decoherence_kernel(p: DimensionlessParams,

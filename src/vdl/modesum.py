@@ -112,7 +112,7 @@ def _panel_quadrature(f, breaks: np.ndarray, fastest: float, rel_tol: float):
         val = _gl_composite(f, breaks, n)
         err = abs(val - coarse)
         if err <= rel_tol * abs(val) + _ABS_TOL:
-            return val, err
+            return val
         coarse = val
         n *= 2
     raise ConvergenceError(
@@ -140,9 +140,8 @@ def radial_integral_m(m: int, kappa: float, tau: float, *,
     def integrand(q):
         return q * np.sin(q * tau / 2.0) ** 2 * angular_kernel_j(m * q)
 
-    val, _ = _panel_quadrature(integrand, np.array([0.0, kappa]), max(float(m), tau),
-                               rel_tol)
-    return val
+    return _panel_quadrature(integrand, np.array([0.0, kappa]), max(float(m), tau),
+                             rel_tol)
 
 
 def m0_term(kappa: float, tau: float) -> float:
@@ -236,5 +235,5 @@ def exponent_general_n(params) -> float:
         return q * 0.25 * _switch_ratio(q * tau / 2.0, n) ** 2 * _image_sum_j(q)
 
     breaks = np.append(np.arange(0.0, kappa, 2.0 * math.pi), kappa)
-    val, _ = _panel_quadrature(integrand, breaks, (n - 1) * tau, _REL_TOL)
-    return 2.0 * alpha ** 2 / math.pi * val
+    val = _panel_quadrature(integrand, breaks, (n - 1) * tau, _REL_TOL)
+    return 2.0 * alpha * alpha / math.pi * val

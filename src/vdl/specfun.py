@@ -18,14 +18,17 @@ f and g obtained from the continued fraction of E1(ix) for moderate x
 and from their asymptotic series once that is accurate to double
 precision (x >= 40).
 
-The module also provides correctly rounded argument reduction modulo
-2*pi (``reduce_two_pi``, ``sin_product``, ``cos_product``) and, on top
-of it, the Clausen sum ``clausen_sl3(x) = sum_{m>=1} sin(m x) / m^3``
-in closed form.  The kernel evaluates phases like sin(kappa tau / 2)
-with kappa = 1e8; naive product-then-libm loses up to ~1e-7 rad to the
-product rounding alone, while the helpers here keep the reduced
-argument good to ~1e-15 rad (requirement: 1e-10 for arguments up to
-1e12).
+The module also provides argument reduction modulo 2*pi
+(``reduce_two_pi``, ``sin_product``, ``cos_product``) and, on top of
+it, the Clausen sum ``clausen_sl3(x) = sum_{m>=1} sin(m x) / m^3`` in
+closed form.  The kernel evaluates phases like sin(kappa tau / 2) with
+kappa = 1e8; naive product-then-libm loses up to ~1e-7 rad to the
+product rounding alone.  Here a*b mod 2*pi is one integer computation:
+the 53-bit mantissas of a and b and floor(2^1100 / (2*pi)) multiply
+exactly, and the fractional bits of that product are rounded once.  x
+mod 2*pi is the same computation with b = 1.  The reduced argument is
+good to ~1e-15 rad for every finite product (requirement: 1e-10 for
+arguments up to 1e12).
 
 All functions are pure and stateless; they are safe to call from any
 number of threads.
@@ -83,10 +86,10 @@ _J_TAYLOR_CUTOFF = 1e-2
 # ---------------------------------------------------------------------------
 # Argument reduction modulo 2*pi.
 #
-# floor(2^1100 / (2*pi)) as an exact integer; multiplying the (exactly
-# known) binary mantissa of x against it and keeping the fractional bits
-# yields frac(x / 2pi) with dozens of guard bits for any finite double
-# (the binary exponent of a double never exceeds 1024).
+# floor(2^1100 / (2*pi)) as an exact (1098-bit) integer.  Against the
+# exact integer product of two 53-bit mantissas it leaves dozens of guard
+# bits in frac(a*b / 2pi) for any finite product (whose binary exponent
+# never exceeds 1025).
 _INV_TWO_PI_INT = int(
     "28be60db9391054a7f09d5f47d4d377036d8a5664f10e4107f9458eaf7aef1586dc91b"
     "8e909374b801924bba827464873f877ac72c4a69cfba208d7d4baed1213a671c09ad17"
@@ -99,54 +102,37 @@ _INV_TWO_PI_BITS = 1100
 _TWO_PI_HI = 6.283185307179586
 _TWO_PI_LO = 2.4492935982947064e-16
 
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
+def _reduced_product(a: float, b: float) -> float:
+    """a*b mod 2*pi in [0, 2*pi), from the exact product of a and b.
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """Exact product a*b = p + e (Dekker), valid away from overflow."""
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
+    With a = ma 2^(ea-53) and b = mb 2^(eb-53) for integer mantissas,
+    frac(a*b / 2pi) = frac(ma mb C / 2^shift), C = _INV_TWO_PI_INT; the
+    mask takes that fraction in [0, 1) for either sign of the product.
+    """
+    a, b = float(a), float(b)
+    if not math.isfinite(a * b):
+        raise ValueError("product of the arguments overflows")
+    fa, ea = math.frexp(a)
+    fb, eb = math.frexp(b)
+    shift = _INV_TWO_PI_BITS + 106 - ea - eb
+    n = int(fa * 9007199254740992.0) * int(fb * 9007199254740992.0)  # 2^53 each
+    f = ((n * _INV_TWO_PI_INT) & ((1 << shift) - 1)) / (1 << shift)
+    r = f * _TWO_PI_HI + f * _TWO_PI_LO
+    return r - _TWO_PI_HI if r >= _TWO_PI_HI else r
 
 
 def reduce_two_pi(x: float) -> float:
     """Reduce x modulo 2*pi into [0, 2*pi).
 
-    Exact integer arithmetic against a 500-bit 1/(2*pi); the absolute
+    Exact integer arithmetic against floor(2^1100 / (2*pi)); the absolute
     error of the reduced argument is a few 1e-16 for any finite double,
     which is what keeps sin(kappa tau / 2) meaningful at kappa = 1e8.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("reduce_two_pi requires a finite argument")
-    if x == 0.0:
-        return 0.0
-    # frac(|x| / 2pi) = frac / 2**shift, exactly
-    m, e = math.frexp(abs(x))
-    mant = int(m * 9007199254740992.0)  # 2^53; exact, |x| = mant * 2^(e-53)
-    shift = _INV_TWO_PI_BITS - e + 53
-    frac = (mant * _INV_TWO_PI_INT) & ((1 << shift) - 1)
-    f = frac / (1 << shift)
-    r = f * _TWO_PI_HI + f * _TWO_PI_LO
-    if x < 0.0:
-        r = _TWO_PI_HI - r if r != 0.0 else 0.0
-    if r >= _TWO_PI_HI:
-        r -= _TWO_PI_HI
-    return r
-
-
-def _reduced_product(a: float, b: float) -> float:
-    """a*b mod 2*pi, with the product formed exactly before reduction."""
-    p, e = _two_product(float(a), float(b))
-    if not math.isfinite(p):
-        raise ValueError("product of the arguments overflows")
-    return reduce_two_pi(p) + e
+    return _reduced_product(x, 1.0)
 
 
 def sin_product(a: float, b: float) -> float:
@@ -220,7 +206,8 @@ def _aux_fg_cf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _aux_fg_asymptotic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Asymptotic auxiliary series, accurate to ~1e-16 for x >= 40."""
-    t = 1.0 / (x * x)
+    with np.errstate(over="ignore"):  # t = 0 is the limit once x * x overflows
+        t = 1.0 / (x * x)
     f = np.zeros_like(x)
     g = np.zeros_like(x)
     for cf, cg in zip(reversed(_F_COEF), reversed(_G_COEF)):

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,30 @@ class TestKernelSweep:
         assert rows[0].endswith(",ok") and float(rows[0].split(",")[3]) == 0.0
         assert all(r.endswith(",no_convergence") for r in rows[1:])
         assert all(r.split(",")[3] == "nan" for r in rows[1:])
+
+    def test_largest_kappa_rows_are_finite(self, tmp_path, capsys):
+        # kappa tau reaches 1 at kappa = 1e301; no row labelled ok holds
+        # nan, and Ci's auxiliary series at x ~ 1e301 warns about nothing
+        out = tmp_path / "edge.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["kernel-sweep", "--kappa", "1e301", "--start", "0",
+                        "--stop", "1e-301", "--points", "2", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_rows(out)
+        assert len(rows) == 2 and all(r.endswith(",ok") for r in rows)
+        assert not any("nan" in r for r in rows)
+        assert capsys.readouterr().err == ""
+
+    def test_overflowing_alpha_squared_rows_flagged(self, tmp_path):
+        # alpha^2 = inf: the tail majorant meets no bound, so the rows
+        # fail the typed way instead of raising OverflowError
+        out = tmp_path / "huge_alpha.csv"
+        code = run(["kernel-sweep", "--sweep", "tau", "--alpha", "1e200", "--start", "0.5",
+                    "--stop", "1", "--points", "2", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_rows(out)
+        assert len(rows) == 2 and all(r.endswith(",no_convergence") for r in rows)
 
 
 class TestOracleCheck:

@@ -113,6 +113,15 @@ class TestDecoherenceKernel:
     def test_trivial_tau_zero(self):
         res = decoherence_kernel(DimensionlessParams(0.5, 1e8, 0.0))
         assert res.kernel == 1.0 and res.gamma == 0.0
+        # just above tau = 0 at the largest kappa, kappa tau = 1: gamma is
+        # the switching part alone, its phase reduced from the exact product
+        kappa, tau = 1e301, 1e-301
+        res = decoherence_kernel(DimensionlessParams(0.5, kappa, tau))
+        assert math.isfinite(res.gamma) and res.kernel == 1.0
+        with mp.workdps(340):
+            k = mp.mpf(kappa)
+            s = -8 * mp.sin(k * mp.mpf(tau) / 2) ** 2 / (mp.pi * k) * mp.clsin(3, k)
+        assert res.gamma == pytest.approx(0.25 * float(s), rel=1e-12)
 
     def test_result_invariants(self):
         alpha, kappa, tau = 0.5, 1e8, 3.3

@@ -160,11 +160,14 @@ class TestArgumentReduction:
                 assert abs(specfun.cos_product(a, b) - refc) <= 1e-10
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(x=st.floats(1.0, 1e15), negative=st.booleans())
-    def test_reduce_two_pi_property(self, x, negative):
+    @given(log_x=st.floats(-320.0, 308.0), negative=st.booleans())
+    def test_reduce_two_pi_property(self, log_x, negative):
+        """Every decade of the finite doubles, subnormals included; x mod
+        2 pi at x = 1e308 needs the 340-digit reference."""
+        x = 10.0 ** log_x
         x = -x if negative else x
         r = specfun.reduce_two_pi(x)
-        with mp.workdps(60):
+        with mp.workdps(340):
             ref = mp.fmod(mp.mpf(x), 2 * mp.pi)
             if ref < 0:
                 ref += 2 * mp.pi
@@ -174,8 +177,13 @@ class TestArgumentReduction:
         assert 0.0 <= r < 2 * math.pi
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(a=st.floats(1.0, 1e9), b=st.floats(0.0, 1e3))
-    def test_product_property(self, a, b):
+    @given(a=st.floats(1e-296, 1e308), log_ab=st.floats(-12.0, 12.0),
+           sign_a=st.sampled_from([-1.0, 1.0]), sign_b=st.sampled_from([-1.0, 1.0]))
+    def test_product_property(self, a, log_ab, sign_a, sign_b):
+        """Signed factors across the finite doubles, |a| up to 1e308 and
+        tiny cofactors, with |a*b| in [1e-12, 1e12]."""
+        b = sign_b * 10.0 ** log_ab / a
+        a = sign_a * a
         with mp.workdps(60):
             ab = mp.mpf(a) * mp.mpf(b)
             ref_s, ref_c = float(mp.sin(ab)), float(mp.cos(ab))
