@@ -197,7 +197,8 @@ def decoherence_kernel(p: DimensionlessParams,
     excluded unconditionally.
 
     Raises ConvergenceError carrying the partial exponent and tail
-    estimate if max_terms is not enough.
+    estimate if max_terms is not enough, and at once, with partial nan
+    and estimate inf, if the majorant at max_terms is not finite.
     """
     policy = policy or _DEFAULT_POLICY
     switching = _switching_prefactor(p)
@@ -207,6 +208,11 @@ def decoherence_kernel(p: DimensionlessParams,
             f"the mandatory minimum ceil(tau) + 10 = {min_eff} terms exceeds "
             f"the {policy.max_terms}-term limit"
         )
+    if not math.isfinite(_tail_majorant(p.alpha, p.kappa, p.tau, policy.max_terms)):
+        # alpha^2 or 2 tau / kappa overflows: no count of terms has a bound
+        raise ConvergenceError(
+            f"kernel series tail majorant is not finite at {policy.max_terms} terms",
+            partial=math.nan, error_estimate=math.inf)
     # The majorant strictly decreases in M once M + 1 - tau >= 11, so
     # bisection finds the smallest M meeting the bound (max_terms if none).
     n_terms, hi = min_eff, policy.max_terms

@@ -155,20 +155,27 @@ def m0_term(kappa: float, tau: float) -> float:
     exists without boundaries and is reversible (false) decoherence in
     the switched-dipole scenario; it is exposed for documentation and
     for subtracting the free-space part from grid-simulator overlaps.
+    The result is inf only where I_0 itself overflows.
     """
     check_real("kappa", kappa, positive=True)
     check_real("tau", tau)
     if tau == 0.0:
         return 0.0
-    kt_hi = kappa * tau
-    if kt_hi < 1e-3:
-        # series in (kappa tau): avoids the three-way cancellation
-        return (kappa ** 4 * tau ** 2 / 12.0) * (1.0 - (kt_hi * kt_hi) / 18.0)
-    s = sin_product(kappa, tau)
-    c = cos_product(kappa, tau)
-    return (4.0 / 3.0) * (
-        kappa ** 2 / 4.0 - kappa * s / (2.0 * tau) - (c - 1.0) / (2.0 * tau ** 2)
-    )
+    u = kappa * tau
+    if u < 1e-3:
+        # series kappa^4 tau^2/12 (1 - u^2/18): avoids the three-way cancellation
+        return (kappa * u) * (kappa * u / 12.0) * (1.0 - u * u / 18.0)
+    if kappa < 1e150 and tau < 1e150:  # no term below leaves the double range
+        s = sin_product(kappa, tau)
+        c = cos_product(kappa, tau)
+        return (4.0 / 3.0) * (
+            kappa ** 2 / 4.0 - kappa * s / (2.0 * tau) - (c - 1.0) / (2.0 * tau ** 2)
+        )
+    # the same I_0 = (kappa^2/3) [1 - 2 sin(u)/u + 2 (1 - cos u)/u^2], whose
+    # oscillating terms are below rounding once u overflows
+    osc = 0.0 if math.isinf(u) else (
+        2.0 * (1.0 - cos_product(kappa, tau)) / (u * u) - 2.0 * sin_product(kappa, tau) / u)
+    return kappa * (kappa * (1.0 + osc) / 3.0)
 
 
 def switching_spectrum(omega_t_half: float, n_switches: int) -> float:

@@ -12,11 +12,13 @@ Three functions are needed by the closed-form kernel:
   = 4 (sin x - x cos x) / x^3, the angular factor of the radial mode
   integral in spherical coordinates.
 
-Branching follows standard practice: the power series below x = 4, and
-the auxiliary-function form Ci(x) = f(x) sin x - g(x) cos x above, with
-f and g obtained from the continued fraction of E1(ix) for moderate x
-and from their asymptotic series once that is accurate to double
-precision (x >= 40).
+Ci and Cin have three branches: the Cin power series for x <= 4; for
+4 < x < 40, Ci(x) = f(x) sin x - g(x) cos x with f and g from the
+continued fraction of E1(ix) (DLMF 6.9), evaluated bottom-up at a fixed
+depth of 48, so it has no stopping test and cannot fail; and from 40 on
+the same form with the asymptotic series of f and g.  Measured against
+40-digit mpmath over x in [1e-300, 1e12]: |dCi| <= 9e-16 max(1, |Ci|)
+for x <= 4 and <= 3.4e-16 / x above; |dCin| <= 3.1e-16 max(1, |Cin|).
 
 The module also provides argument reduction modulo 2*pi
 (``reduce_two_pi``, ``sin_product``, ``cos_product``) and, on top of
@@ -41,7 +43,6 @@ import math
 import numpy as np
 
 from .constants import EULER_GAMMA
-from .errors import ConvergenceError
 
 __all__ = [
     "cin",
@@ -63,10 +64,9 @@ _SERIES_CUTOFF = 4.0
 # below double precision at its optimal truncation order.
 _ASYMPTOTIC_CUTOFF = 40.0
 
-# Continued fraction of E1(ix): stop once every Lentz factor is within
-# _CF_TOL of 1; ConvergenceError if that takes more than _CF_MAX_TERMS.
-_CF_TOL = 1e-14
-_CF_MAX_TERMS = 200
+# Depth of the E1(ix) continued fraction: the smallest that puts f and g
+# at the double floor at x = 4, the slowest point of its branch.
+_CF_DEPTH = 48
 
 # Cin power series coefficients c_k = (-1)^(k+1) / (2k (2k)!), k = 1..24.
 # 24 terms leave a truncation error < 1e-33 at x = 4.
@@ -157,7 +157,32 @@ def clausen_sl3(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cin / Ci
+# Cin / Ci / J
+
+
+def _split(x: np.ndarray, small: np.ndarray, below, above) -> np.ndarray:
+    """below(x) where the mask small holds and above(x) elsewhere; each
+    branch sees only its own elements."""
+    out = np.empty_like(x)
+    if np.any(small):
+        out[small] = below(x[small])
+    if not np.all(small):
+        out[~small] = above(x[~small])
+    return out
+
+
+def _evaluate(name: str, x, is_small, below, above, invalid=None, domain: str = ""):
+    """Shared body of cin, ci and angular_kernel_j: check x (invalid flags
+    arguments outside domain), split it by branch, float for a scalar."""
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} requires finite input")
+    if invalid is not None and np.any(invalid(arr)):
+        raise ValueError(f"{name} domain error: argument must be {domain}")
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    out = _split(arr, is_small(arr), below, above)
+    return float(out[0]) if scalar else out
 
 
 def _cin_series(x: np.ndarray) -> np.ndarray:
@@ -169,43 +194,24 @@ def _cin_series(x: np.ndarray) -> np.ndarray:
     return acc * t
 
 
-def _aux_fg_cf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Auxiliary functions (f, g) from the continued fraction of E1(ix).
+def _ci_fraction(x: np.ndarray) -> np.ndarray:
+    """Ci(x) = f(x) sin x - g(x) cos x, with the auxiliary functions f and g
+    from the continued fraction of E1(ix) (DLMF 6.9).
 
-    E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))) evaluated with
-    the modified Lentz algorithm at z = ix; then 1/K = g + i(-f), i.e.
-    f = -Im(1/K) and g = Re(1/K), satisfying f ~ 1/x, g ~ 1/x^2.
+    E1(z) = e^{-z} / K, K = z + 1 - 1/(z + 3 - 4/(z + 5 - ...)), is
+    evaluated bottom-up at z = ix, cut at _CF_DEPTH; then 1/K = g - i f.
     """
     z = 1j * x
-    fval = z + 1.0
-    C = fval.copy()
-    D = np.zeros_like(z)
-    converged = np.zeros(x.shape, dtype=bool)
-    for i in range(1, _CF_MAX_TERMS + 1):
-        a = -float(i * i)
-        b = z + (2.0 * i + 1.0)
-        D = b + a * D
-        D = np.where(D == 0, 1e-300, D)
-        C = b + a / C
-        C = np.where(C == 0, 1e-300, C)
-        D = 1.0 / D
-        delta = C * D
-        # an element keeps its value once converged, so it does not
-        # depend on which slower elements share the batch
-        fval = np.where(converged, fval, fval * delta)
-        converged |= np.abs(delta - 1.0) < _CF_TOL
-        if np.all(converged):
-            break
-    if not np.all(converged):
-        raise ConvergenceError(
-            f"cosine-integral continued fraction not converged in {_CF_MAX_TERMS} terms"
-        )
-    w = 1.0 / fval
-    return -w.imag, w.real
+    t = np.zeros_like(z)
+    for i in range(_CF_DEPTH, 0, -1):
+        t = -float(i * i) / (z + (2.0 * i + 1.0) + t)
+    w = 1.0 / (z + 1.0 + t)
+    return -w.imag * np.sin(x) - w.real * np.cos(x)
 
 
-def _aux_fg_asymptotic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Asymptotic auxiliary series, accurate to ~1e-16 for x >= 40."""
+def _ci_asymptotic(x: np.ndarray) -> np.ndarray:
+    """Ci(x) = f(x) sin x - g(x) cos x, with f and g from their asymptotic
+    series, accurate to ~1e-16 for x >= 40."""
     with np.errstate(over="ignore"):  # t = 0 is the limit once x * x overflows
         t = 1.0 / (x * x)
     f = np.zeros_like(x)
@@ -213,67 +219,43 @@ def _aux_fg_asymptotic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for cf, cg in zip(reversed(_F_COEF), reversed(_G_COEF)):
         f = f * t + cf
         g = g * t + cg
-    return f / x, g * t
+    return f / x * np.sin(x) - g * t * np.cos(x)
 
 
 def _ci_large(x: np.ndarray) -> np.ndarray:
-    """Ci(x) = f(x) sin x - g(x) cos x for x > series cutoff."""
-    f = np.empty_like(x)
-    g = np.empty_like(x)
-    cf_mask = x < _ASYMPTOTIC_CUTOFF
-    if np.any(cf_mask):
-        f[cf_mask], g[cf_mask] = _aux_fg_cf(x[cf_mask])
-    if np.any(~cf_mask):
-        f[~cf_mask], g[~cf_mask] = _aux_fg_asymptotic(x[~cf_mask])
-    return f * np.sin(x) - g * np.cos(x)
+    """Ci(x) for x > 4: the continued fraction below 40, the asymptotic
+    series from 40 on."""
+    return _split(x, x < _ASYMPTOTIC_CUTOFF, _ci_fraction, _ci_asymptotic)
 
 
 def cin(x):
     """Entire cosine integral Cin(x) for x >= 0.
 
-    Cin(x) = sum_{k>=1} (-1)^(k+1) x^(2k) / (2k (2k)!) for small x;
-    gamma + ln x - Ci(x) on the large-x branch.  Absolute error is
-    below 1e-12 for x <= 1e4.
+    The power series sum_{k>=1} (-1)^(k+1) x^(2k) / (2k (2k)!) for
+    x <= 4, gamma + ln x - Ci(x) above; error <= 3.1e-16 max(1, |Cin|).
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cin requires finite input")
-    if np.any(arr < 0.0):
-        raise ValueError("cin domain error: argument must be >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr <= _SERIES_CUTOFF
-    out[small] = _cin_series(arr[small])
-    big = ~small
-    if np.any(big):
-        xb = arr[big]
-        out[big] = EULER_GAMMA + np.log(xb) - _ci_large(xb)
-    return float(out[0]) if scalar else out
+    return _evaluate("cin", x, lambda a: a <= _SERIES_CUTOFF, _cin_series,
+                     lambda a: EULER_GAMMA + np.log(a) - _ci_large(a),
+                     invalid=lambda a: a < 0.0, domain=">= 0")
 
 
 def ci(x):
     """Cosine integral Ci(x) for x > 0.
 
-    gamma + ln x - cin(x) on the series branch; f sin - g cos with
-    asymptotic auxiliary functions on the large-x branch.
+    gamma + ln x - Cin(x) for x <= 4; above, f sin x - g cos x with the
+    auxiliary functions from the E1 continued fraction (fixed depth 48)
+    below 40 and from their asymptotic series from 40 on.  Error
+    <= 9e-16 max(1, |Ci|) for x <= 4 and <= 3.4e-16 / x above.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("ci requires finite input")
-    if np.any(arr <= 0.0):
-        raise ValueError("ci domain error: argument must be positive")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr <= _SERIES_CUTOFF
-    if np.any(small):
-        xs = arr[small]
-        out[small] = EULER_GAMMA + np.log(xs) - _cin_series(xs)
-    big = ~small
-    if np.any(big):
-        out[big] = _ci_large(arr[big])
-    return float(out[0]) if scalar else out
+    return _evaluate("ci", x, lambda a: a <= _SERIES_CUTOFF,
+                     lambda a: EULER_GAMMA + np.log(a) - _cin_series(a), _ci_large,
+                     invalid=lambda a: a <= 0.0, domain="positive")
+
+
+def _j_taylor(x: np.ndarray) -> np.ndarray:
+    """Taylor expansion of J, for |x| < 1e-2."""
+    t = x * x
+    return 4.0 * (1.0 / 3.0 + t * (-1.0 / 30.0 + t * (1.0 / 840.0 - t / 45360.0)))
 
 
 def angular_kernel_j(x):
@@ -283,20 +265,5 @@ def angular_kernel_j(x):
     expansion 4/3 - 2x^2/15 + ... is used below |x| = 1e-2 where the
     closed form cancels catastrophically.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("angular_kernel_j requires finite input")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = np.abs(arr) < _J_TAYLOR_CUTOFF
-    if np.any(small):
-        t = arr[small] ** 2
-        out[small] = 4.0 * (
-            1.0 / 3.0 + t * (-1.0 / 30.0 + t * (1.0 / 840.0 - t / 45360.0))
-        )
-    big = ~small
-    if np.any(big):
-        xb = arr[big]
-        out[big] = 4.0 * (np.sin(xb) - xb * np.cos(xb)) / xb ** 3
-    return float(out[0]) if scalar else out
+    return _evaluate("angular_kernel_j", x, lambda a: np.abs(a) < _J_TAYLOR_CUTOFF,
+                     _j_taylor, lambda a: 4.0 * (np.sin(a) - a * np.cos(a)) / a ** 3)

@@ -193,6 +193,18 @@ class TestDecoherenceKernel:
         assert 0.0 < err.value.partial < 10.0
         assert err.value.error_estimate > 1e-30
 
+    @pytest.mark.parametrize("alpha, kappa, tau", [(1e200, 1e8, 1.5), (0.5, 1e-300, 1.5)])
+    def test_non_finite_majorant_fails_before_summing(self, alpha, kappa, tau, monkeypatch):
+        # alpha^2 = inf, or 2 tau / kappa = inf: no term is summed
+        def no_terms(*args):
+            raise AssertionError("_term_base called")
+
+        monkeypatch.setattr(kernel, "_term_base", no_terms)
+        with pytest.raises(ConvergenceError) as err:
+            decoherence_kernel(DimensionlessParams(alpha, kappa, tau))
+        assert math.isnan(err.value.partial)
+        assert err.value.error_estimate == math.inf
+
     def test_resonance_continuity_ladder(self):
         # deviations shrink with the probe and meet 1e-6 at eps = 1e-7
         for m0 in (1, 2, 3, 4, 5):

@@ -105,6 +105,27 @@ class TestM0Term:
         ref = gl_reference(lambda q: f(q, tau), 0.0, kappa, 64)
         assert modesum.m0_term(kappa, tau) == pytest.approx(ref, rel=1e-10)
 
+    def test_overflows_only_with_the_integral(self):
+        # kappa^2 and kappa^4 overflow long before I_0 ~ kappa^2/3 does
+        assert modesum.m0_term(1e200, 1.0) == math.inf
+        assert modesum.m0_term(1e300, 1e-290) == math.inf
+        with mp.workdps(60):
+            for kappa, tau in [(1e100, 1e-105), (1e152, 1e-151), (1e-140, 1e150)]:
+                k, t = mp.mpf(kappa), mp.mpf(tau)
+                u = k * t
+                ref = (4 * k ** 2 / 3) * (mp.mpf(1) / 4 - mp.sin(u) / (2 * u)
+                                          + (1 - mp.cos(u)) / (2 * u ** 2))
+                assert modesum.m0_term(kappa, tau) == pytest.approx(float(ref), rel=1e-12)
+        # the series value at u = 1e-5 is kappa^4 tau^2 / 12 up to u^2/18
+        assert modesum.m0_term(1e100, 1e-105) == pytest.approx(1e190 / 12.0, rel=1e-11)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(log_kappa=st.floats(-300.0, 300.0),
+           log_tau=st.one_of(st.none(), st.floats(-300.0, 300.0)))
+    def test_finite_or_inf_over_domain(self, log_kappa, log_tau):
+        tau = 0.0 if log_tau is None else 10.0 ** log_tau
+        assert modesum.m0_term(10.0 ** log_kappa, tau) >= 0.0  # false for nan
+
     def test_quadratic_growth_in_cutoff(self):
         kappas = np.array([1e3, 2e3, 4e3])
         vals = np.array([modesum.m0_term(float(k), 0.7) for k in kappas])
