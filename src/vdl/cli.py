@@ -37,18 +37,19 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# required feasibility configuration key -> (flag that overrides it, unit)
+# required feasibility configuration key -> (flag that overrides it, unit,
+# the name the feasibility dataclasses' input check reports it under)
 _CONFIG_KEYS = {
-    "molecule.polarizability": ("--polarizability", "C m^2/V"),
-    "molecule.size": ("--size", "m"),
-    "molecule.velocity": ("--velocity", "m/s"),
-    "molecule.mass": ("--mass", "kg"),
-    "laser.power": ("--power", "W"),
-    "laser.sigma_y": ("--sigma-y", "m"),
-    "laser.sigma_z": ("--sigma-z", "m"),
-    "laser.period": ("--period", "m"),
-    "cavity.L": ("--plate-separation", "m"),
-    "cavity.k_max": ("--k-max", "1/m"),
+    "molecule.polarizability": ("--polarizability", "C m^2/V", "polarizability"),
+    "molecule.size": ("--size", "m", "size"),
+    "molecule.velocity": ("--velocity", "m/s", "velocity"),
+    "molecule.mass": ("--mass", "kg", "mass"),
+    "laser.power": ("--power", "W", "power"),
+    "laser.sigma_y": ("--sigma-y", "m", "sigma_y"),
+    "laser.sigma_z": ("--sigma-z", "m", "sigma_z"),
+    "laser.period": ("--period", "m", "grating_period"),
+    "cavity.L": ("--plate-separation", "m", "plate separation L"),
+    "cavity.k_max": ("--k-max", "1/m", "cutoff_wavenumber"),
 }
 # keys a configuration file may set besides the required ones
 _OPTIONAL_KEYS = ("molecule.name", "run.transit_convention")
@@ -210,6 +211,14 @@ def cmd_oracle_check(args) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
+def _source(key: str, args) -> str:
+    """Where a configuration key's value came from: its flag or the file."""
+    flag = _CONFIG_KEYS[key][0]
+    if getattr(args, key) is not None:
+        return f"{flag} (configuration key {key})"
+    return f"{args.config}: configuration key {key} (or {flag})"
+
+
 def _load_feasibility_inputs(args):
     raw: dict[str, str] = {}
     if args.config:
@@ -226,24 +235,33 @@ def _load_feasibility_inputs(args):
         try:
             return float(raw[key])
         except ValueError:
-            raise ValueError(f"configuration key {key} is not a number: {raw[key]!r}")
-    molecule = feasibility.MoleculeSpec(
-        name=raw.get("molecule.name", args.config or "molecule"),
-        polarizability=num("molecule.polarizability"),
-        size=num("molecule.size"),
-        mass=num("molecule.mass"),
-        velocity=num("molecule.velocity"),
-    )
-    laser = feasibility.LaserConfig(
-        power=num("laser.power"),
-        sigma_y=num("laser.sigma_y"),
-        sigma_z=num("laser.sigma_z"),
-        grating_period=num("laser.period"),
-    )
-    cavity = feasibility.CavityConfig(
-        plate_separation=num("cavity.L"),
-        cutoff_wavenumber=num("cavity.k_max"),
-    )
+            raise ValueError(f"{_source(key, args)} is not a number: {raw[key]!r}")
+    values = {key: num(key) for key in _CONFIG_KEYS}
+    try:
+        molecule = feasibility.MoleculeSpec(
+            name=raw.get("molecule.name", args.config or "molecule"),
+            polarizability=values["molecule.polarizability"],
+            size=values["molecule.size"],
+            mass=values["molecule.mass"],
+            velocity=values["molecule.velocity"],
+        )
+        laser = feasibility.LaserConfig(
+            power=values["laser.power"],
+            sigma_y=values["laser.sigma_y"],
+            sigma_z=values["laser.sigma_z"],
+            grating_period=values["laser.period"],
+        )
+        cavity = feasibility.CavityConfig(
+            plate_separation=values["cavity.L"],
+            cutoff_wavenumber=values["cavity.k_max"],
+        )
+    except ValueError as exc:
+        # the dataclass checks name their field: name the key, flag and file
+        key = next((k for k, (_, _, name) in _CONFIG_KEYS.items()
+                    if str(exc).startswith(name + " ")), None)
+        if key is None:
+            raise
+        raise ValueError(f"{_source(key, args)}: {exc}") from None
     convention = raw.get("run.transit_convention", "sigma")
     return molecule, laser, cavity, convention, raw
 
@@ -388,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="experimental feasibility report")
     _add_out(feas)
     feas.add_argument("--config", default=None, help="key = value configuration file")
-    for key, (flag, unit) in _CONFIG_KEYS.items():
+    for key, (flag, unit, _) in _CONFIG_KEYS.items():
         feas.add_argument(flag, dest=key, type=float, help=f"overrides {key} [{unit}]")
     feas.add_argument("--transit-convention", dest="run.transit_convention",
                       choices=feasibility.TRANSIT_CONVENTIONS)

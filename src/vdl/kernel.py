@@ -29,20 +29,34 @@ Each term splits into a bracket part and a switching part,
     S_m = -(8 sin^2(kappa tau / 2) / (pi kappa)) sin(m kappa) / m^3,
 
 and the switching part is summed exactly: sum_{m>=1} sin(m kappa) / m^3
-is the Clausen function Sl_3(kappa) (``specfun.clausen_sl3``).  Only the
+is the Clausen function Sl_3(kappa) (``specfun.clausen_sl3``).  The
 bracket part, bracket_m = ln((m + tau)/|m - tau|) + Ci(kappa |m - tau|)
-- Ci(kappa (m + tau)), is summed term by term.  With
-ln((m + tau)/(m - tau)) <= 2 tau/(m - tau) and |Ci(x)| <= 1/x + 1/x^2,
-its tail obeys, for g = M + 1 - tau,
+- Ci(kappa (m + tau)), is summed term by term for m = 1..M in one pass.
+Beyond M it is a log part and a Ci part.  The log part, the no-cutoff
+series L_m = (2 tau / (pi m^3)) ln((m + tau)/(m - tau)), is summed in
+closed form by the midpoint Euler-Maclaurin formula (DLMF 2.10(i)):
+with a = M + 1/2 and u = tau / a,
 
-    sum_{m>M} (2 alpha^2 tau / (pi m^3)) |bracket_m|
-        <= (alpha^2/pi) [2 tau^2/g + (2 tau/kappa) (1/g + 1/(kappa g^2))] / M^2,
+    sum_{m>M} L_m = (2 / (pi tau)) [(u^2 - 1) atanh u + u]
+                    + L'(a)/24 - 7 L'''(a)/5760 + R,
 
-and the series is cut at the smallest M whose majorant is below the
-tail bound, with a mandatory minimum of ceil(tau) + 10 terms so the
-resonance structure near m ~ tau is never truncated away.  The
-majorant needs no summed term, so M is found first and the terms
-m = 1..M are summed in one pass.
+whose first term is the integral of L(x) over (a, inf).
+L(x) = (2 tau / pi) x^-3 * 2 atanh(tau / x) is completely monotone on
+(tau, inf), so R has the sign of, and is bounded by, the first omitted
+term 31 L^(5)(a)/967680.  With |Ci(x)| <= 1/x + 1/x^2 the Ci part obeys,
+for g = M + 1 - tau,
+
+    sum_{m>M} (2 tau / (pi m^3)) |Ci(kappa |m - tau|) - Ci(kappa (m + tau))|
+        <= (2 tau / (pi kappa)) (1/g + 1/(kappa g^2)) / M^2.
+
+M is max(32, ceil(tau) + 40): the log tail starts 40 terms past the
+resonance structure at m ~ tau, where its omitted term is at most 1.5e-14.
+M is raised only where the Ci bound, or a tail bound tighter than the
+default, needs more terms (small kappa), to the smallest M meeting it.
+The truncation estimate is alpha^2 times the sum of the omitted
+Euler-Maclaurin term, the Ci bound and eight ulp of the log tail for
+rounding.  It needs no summed term, so M is found before the terms
+m = 1..M are summed.
 
 Everything is pure given (params, policy).
 """
@@ -99,11 +113,13 @@ class DimensionlessParams:
 class SeriesPolicy:
     """Truncation policy for the kernel series.
 
-    The series is summed up to the smallest M >= max(min_terms,
-    ceil(tau) + 10) whose analytic tail majorant is below tail_bound;
-    if even M = max_terms misses the bound, the evaluation fails.  Every
-    term goes through the regularized Cin path, which is finite at the
-    resonances tau = m and uniformly accurate away from them.
+    The series is summed up to M = max(min_terms, ceil(tau) + 40) terms
+    and its log tail added in closed form; M is raised to the smallest
+    count whose truncation estimate is below tail_bound where that one
+    misses it.  If even M = max_terms misses the bound, the evaluation
+    fails.  Every term goes through the regularized Cin path, which is
+    finite at the resonances tau = m and uniformly accurate away from
+    them.
     """
 
     tail_bound: float = 1e-12
@@ -124,9 +140,9 @@ class DecoherenceResult:
 
     kernel == exp(-gamma) exactly as computed; per_term is an (n, 2)
     array of (m, alpha^2 (2 tau / (pi m^3)) bracket_m) pairs in summation
-    order, the directly summed part only.  The switching part alpha^2 S,
-    S = sum_m S_m, is summed in closed form, so up to rounding
-    gamma = alpha^2 S + per_term[:, 1].sum().
+    order, the directly summed part only.  The log tail T = sum_{m>n} L_m
+    and the switching part S = sum_m S_m are summed in closed form, so up
+    to rounding gamma = alpha^2 (T + S) + per_term[:, 1].sum().
     """
 
     gamma: float
@@ -178,55 +194,137 @@ def kernel_term(m: int, p: DimensionlessParams) -> float:
     return p.alpha * p.alpha * (base + switching * specfun.sin_product(p.kappa, m) / m ** 3)
 
 
+def _ci_majorant(kappa: float, tau: float, gap: float) -> float:
+    """(2 tau / kappa) (1/g + 1/(kappa g^2)): pi M^2 times the bound on the
+    Ci part beyond M terms (module docstring), for g = M + 1 - tau."""
+    return (2.0 * tau / kappa) * (1.0 / gap + 1.0 / (kappa * gap * gap))
+
+
 def _tail_majorant(alpha: float, kappa: float, tau: float, m_used: int) -> float:
-    """Upper bound on sum_{m>M} (2 alpha^2 tau / (pi m^3)) |bracket_m|, the
-    bracket part beyond M = m_used terms (module docstring)."""
+    """Term-by-term upper bound on sum_{m>M} (2 alpha^2 tau / (pi m^3))
+    |bracket_m| beyond M = m_used terms: with ln((m + tau)/(m - tau)) <=
+    2 tau/(m - tau) its log part is at most (alpha^2/pi) 2 tau^2 / (g M^2),
+    g = max(M + 1 - tau, 1).  At kappa = inf it bounds the no-cutoff tail."""
     gap = max(m_used + 1.0 - tau, 1.0)
-    ci_part = (2.0 * tau / kappa) * (1.0 / gap + 1.0 / (kappa * gap * gap))
-    return (alpha * alpha / math.pi) * (2.0 * tau ** 2 / gap + ci_part) / m_used ** 2
+    return (alpha * alpha / math.pi) * (2.0 * tau ** 2 / gap
+                                        + _ci_majorant(kappa, tau, gap)) / m_used ** 2
+
+
+def _log_part_derivatives(x: float, tau: float) -> tuple[float, float, float]:
+    """L'(x), L'''(x) and L^(5)(x) at x > tau for L(x) = (2 tau / pi) x^-3 h(x),
+    h(x) = ln((x + tau)/(x - tau)), by Leibniz's rule.
+
+    h^(j) = (-1)^(j-1) (j-1)! [(x + tau)^-j - (x - tau)^-j], and with
+    a = 1/(x + tau), b = 1/(x - tau) the bracket is
+    -(2 tau / (x^2 - tau^2)) e_j, e_j = sum_{i<j} a^i b^(j-1-i): a sum of
+    positive terms, so no difference of nearly equal numbers is formed.
+    Every product in L^(n) then has the sign (-1)^n.
+    """
+    s = (x - tau) * (x + tau)
+    a, b = 1.0 / (x + tau), 1.0 / (x - tau)
+    h, e, a_j = [math.log1p(2.0 * tau * b)], 1.0, 1.0
+    for j in range(1, 6):
+        h.append((-1) ** j * math.factorial(j - 1) * (2.0 * tau / s) * e)
+        a_j *= a
+        e = b * e + a_j
+    # the k-th derivative of x^-3
+    power = [(-1) ** k * (math.factorial(k + 2) // 2) * x ** (-3 - k) for k in range(6)]
+    return tuple((2.0 * tau / math.pi) * sum(math.comb(n, j) * power[n - j] * h[j]
+                                             for j in range(n + 1))
+                 for n in (1, 3, 5))
+
+
+def _log_tail(tau: float, m_used: int) -> tuple[float, float]:
+    """sum_{m>M} L_m beyond M = m_used > tau terms by the midpoint
+    Euler-Maclaurin formula, and a bound on its error: the first omitted
+    term plus eight ulp for rounding (module docstring)."""
+    a = m_used + 0.5
+    u = tau / a
+    if u < 0.5:
+        # (u^2 - 1) atanh u + u = sum_{k>=1} 2 u^(2k+1) / ((2k - 1)(2k + 1)),
+        # free of cancellation and exactly 0 at tau = 0; its terms fall by
+        # more than u^2 < 1/4 each, so it stops below 1e-17 of the sum
+        u2 = u * u
+        series, power, k = 0.0, u2, 1
+        while power > 1e-17 * series:
+            series += power / ((2 * k - 1) * (2 * k + 1))
+            power *= u2
+            k += 1
+        integral = (4.0 / (math.pi * a)) * series
+    else:
+        integral = (2.0 / (math.pi * tau)) * (
+            (tau - a) * (tau + a) / (a * a) * math.atanh(u) + u)
+    d1, d3, d5 = _log_part_derivatives(a, tau)
+    value = integral + d1 / 24.0 - 7.0 * d3 / 5760.0
+    omitted = 31.0 * abs(d5) / 967680.0
+    return value, omitted + 8.0 * math.ulp(value)
 
 
 def decoherence_kernel(p: DimensionlessParams,
                        policy: SeriesPolicy | None = None) -> DecoherenceResult:
     """Evaluate D = exp(-Gamma) for a single on/off switch.
 
-    Sums the bracket part of Gamma_m for m = 1..M in one pass, where M
-    is the smallest count of at least ceil(tau) + 10 terms whose
-    analytic tail majorant is below policy.tail_bound, and adds the
-    switching part in closed form; the m = 0 free-space term is
-    excluded unconditionally.
+    Sums the bracket part of Gamma_m for m = 1..M in one pass and adds
+    its log tail and the switching part in closed form; the m = 0
+    free-space term is excluded unconditionally.  M is
+    max(min_terms, ceil(tau) + 40), or the smallest larger count whose
+    truncation estimate is below policy.tail_bound where that one
+    misses it (module docstring).  At tau = 0 gamma is exactly 0 for
+    every alpha.
 
     Raises ConvergenceError carrying the partial exponent and tail
     estimate if max_terms is not enough, and at once, with partial nan
-    and estimate inf, if the majorant at max_terms is not finite.
+    and estimate inf, if the estimate at max_terms is not finite.
     """
     policy = policy or _DEFAULT_POLICY
     switching = _switching_prefactor(p)
-    min_eff = max(policy.min_terms, math.ceil(p.tau) + 10)
-    if min_eff > policy.max_terms:
+    n_terms = max(policy.min_terms, math.ceil(p.tau) + 40)
+    if n_terms > policy.max_terms:
         raise ValueError(
-            f"the mandatory minimum ceil(tau) + 10 = {min_eff} terms exceeds "
+            f"the mandatory minimum ceil(tau) + 40 = {n_terms} terms exceeds "
             f"the {policy.max_terms}-term limit"
         )
-    if not math.isfinite(_tail_majorant(p.alpha, p.kappa, p.tau, policy.max_terms)):
-        # alpha^2 or 2 tau / kappa overflows: no count of terms has a bound
-        raise ConvergenceError(
-            f"kernel series tail majorant is not finite at {policy.max_terms} terms",
-            partial=math.nan, error_estimate=math.inf)
-    # The majorant strictly decreases in M once M + 1 - tau >= 11, so
-    # bisection finds the smallest M meeting the bound (max_terms if none).
-    n_terms, hi = min_eff, policy.max_terms
-    while n_terms < hi:
-        mid = (n_terms + hi) // 2
-        if _tail_majorant(p.alpha, p.kappa, p.tau, mid) < policy.tail_bound:
-            hi = mid
-        else:
-            n_terms = mid + 1
-    tail = _tail_majorant(p.alpha, p.kappa, p.tau, n_terms)
+    # At tau = 0 every term and both closed-form parts vanish: a zero
+    # prefactor keeps an overflowing alpha^2 from making inf * 0 = nan.
+    alpha_sq = p.alpha * p.alpha if p.tau else 0.0
+
+    def ci_bound(n: int) -> float:
+        return alpha_sq * _ci_majorant(p.kappa, p.tau, n + 1.0 - p.tau) / (math.pi * n * n)
+
+    def tails(n: int) -> tuple[float, float]:
+        """The log tail beyond n terms and the truncation estimate."""
+        log_tail, log_error = _log_tail(p.tau, n)
+        return log_tail, alpha_sq * log_error + ci_bound(n)
+
+    def meets(n: int) -> bool:
+        # the Ci bound alone rules out most counts below M, and is cheap
+        return ci_bound(n) < policy.tail_bound and tails(n)[1] < policy.tail_bound
+
+    log_tail, tail = tails(n_terms)
+    if not tail < policy.tail_bound:
+        if not math.isfinite(tails(policy.max_terms)[1]):
+            # alpha^2 or 2 tau / kappa overflows: no count of terms has a bound
+            raise ConvergenceError(
+                f"kernel series tail estimate is not finite at {policy.max_terms} terms",
+                partial=math.nan, error_estimate=math.inf)
+        # The estimate decreases in M, so doubling from the floor and then
+        # bisecting finds the smallest M meeting the bound (max_terms if
+        # none does); M is a few times the floor where the Ci bound sets it.
+        lo, hi = n_terms, min(2 * n_terms, policy.max_terms)
+        while hi < policy.max_terms and not meets(hi):
+            lo, hi = hi + 1, min(2 * hi, policy.max_terms)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if meets(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        n_terms = lo
+        log_tail, tail = tails(n_terms)
     m = np.arange(1, n_terms + 1, dtype=np.float64)
-    alpha_sq = p.alpha * p.alpha
     base = _term_base(m, p.kappa, p.tau)
-    gamma = alpha_sq * (float(base.sum()) + switching * specfun.clausen_sl3(p.kappa))
+    gamma = alpha_sq * (float(base.sum()) + log_tail
+                        + switching * specfun.clausen_sl3(p.kappa))
     if not tail < policy.tail_bound:
         raise ConvergenceError(
             f"kernel series not converged after {n_terms} terms "

@@ -236,7 +236,7 @@ def test_acceptance_9_special_function_floor():
 def test_acceptance_10_trivial_invariants():
     def body():
         rng = np.random.default_rng(2026)
-        # both alphas sum exactly max(32, ceil(tau) + 10) terms
+        # both alphas sum exactly max(32, ceil(tau) + 40) terms
         fixed = SeriesPolicy(tail_bound=1e300)
         for _ in range(100):
             kappa = float(10 ** rng.uniform(math.log10(50.0), 8.0))

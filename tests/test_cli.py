@@ -104,7 +104,7 @@ class TestKernelSweep:
         assert code == 0
         _, _, rows = read_rows(out)
         assert len(rows) == 3
-        # at tau = 0 the tail majorant is 0, so that row is exact; it
+        # at tau = 0 the truncation estimate is 0, so that row is exact; it
         # cannot certify 1e-300 at tau > 0, so those rows are flagged,
         # but the run itself completes
         assert rows[0].endswith(",ok") and float(rows[0].split(",")[3]) == 0.0
@@ -134,6 +134,16 @@ class TestKernelSweep:
         assert code == 0
         _, _, rows = read_rows(out)
         assert len(rows) == 2 and all(r.endswith(",no_convergence") for r in rows)
+
+    def test_overflowing_alpha_squared_exact_at_tau_zero(self, tmp_path):
+        # at tau = 0 every term vanishes, so alpha^2 = inf leaves gamma = 0
+        out = tmp_path / "huge_alpha_zero.csv"
+        code = run(["kernel-sweep", "--sweep", "tau", "--alpha", "1e200", "--start", "0",
+                    "--stop", "1", "--points", "2", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_rows(out)
+        assert rows[0].split(",")[3:] == ["0", "1", "ok"]
+        assert rows[1].endswith(",no_convergence")
 
 
 class TestOracleCheck:
@@ -239,6 +249,22 @@ class TestFeasibilityCommand:
         code = run(["feasibility", "--config", str(bundled_config("na_cluster.cfg")),
                     "--plate-separation", "-1"])
         assert code == 2
+
+    def test_bad_config_value_names_key_flag_and_file(self, tmp_path, capsys):
+        text = bundled_config("na_cluster.cfg").read_text()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("".join("cavity.k_max = -1\n" if ln.startswith("cavity.k_max")
+                               else ln + "\n" for ln in text.splitlines()))
+        assert run(["feasibility", "--config", str(bad)]) == 2
+        assert (f"{bad}: configuration key cavity.k_max (or --k-max): "
+                "cutoff_wavenumber must be finite and > 0, got -1.0") in capsys.readouterr().err
+
+    def test_bad_override_names_flag_and_key(self, capsys):
+        code = run(["feasibility", "--config", str(bundled_config("na_cluster.cfg")),
+                    "--period=-1e-7"])
+        assert code == 2
+        assert ("--period (configuration key laser.period): "
+                "grating_period must be finite and > 0, got -1e-07") in capsys.readouterr().err
 
 
 class TestFigure2:

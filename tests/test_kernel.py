@@ -129,12 +129,13 @@ class TestDecoherenceKernel:
         assert res.kernel == math.exp(-res.gamma)
         assert res.terms_used == res.per_term.shape[0]
         assert np.array_equal(res.per_term[:, 0], np.arange(1, res.terms_used + 1))
-        # per_term holds the directly summed part; the switching part
-        # alpha^2 S is the closed-form rest
+        # per_term holds the directly summed part; the log tail and the
+        # switching part alpha^2 S are the closed-form rest
         with mp.workdps(40):
             k = mp.mpf(kappa)
             s = -8 * mp.sin(k * mp.mpf(tau) / 2) ** 2 / (mp.pi * k) * mp.clsin(3, k)
-        rest = res.gamma - float(res.per_term[:, 1].sum())
+        log_tail = alpha ** 2 * kernel._log_tail(tau, res.terms_used)[0]
+        rest = res.gamma - float(res.per_term[:, 1].sum()) - log_tail
         assert rest == pytest.approx(alpha ** 2 * float(s), rel=1e-12, abs=1e-15)
         assert res.truncation_estimate < 1e-12
 
@@ -145,7 +146,35 @@ class TestDecoherenceKernel:
 
     def test_minimum_terms_honored(self):
         res = decoherence_kernel(DimensionlessParams(0.5, 1e8, 17.2))
-        assert res.terms_used >= math.ceil(17.2) + 10
+        assert res.terms_used >= math.ceil(17.2) + 40
+
+    def test_overflowing_alpha_squared_at_tau_zero_is_exact(self):
+        # every term and both closed-form parts vanish, so inf * 0 never forms
+        res = decoherence_kernel(DimensionlessParams(1e200, 1e8, 0.0))
+        assert res.gamma == 0.0 and res.kernel == 1.0
+        assert res.truncation_estimate == 0.0
+
+    @pytest.mark.parametrize("tau", [5000.5, 1e4 + 0.5])
+    def test_late_times_reach_the_asymptote(self, tau):
+        # the late-time limit 2 pi alpha^2 / 3 is approached as 1/tau
+        res = decoherence_kernel(DimensionlessParams(0.5, 1e8, tau))
+        assert res.terms_used == math.ceil(tau) + 40
+        assert res.truncation_estimate < 1e-12
+        assert abs(res.gamma - math.pi / 6.0) <= 1e-4 / tau
+
+    def test_far_late_time_matches_direct_sum(self):
+        # the closed-form log tail against a direct sum over 10^6 terms,
+        # whose own tail the term-by-term majorant bounds
+        alpha, kappa, tau, n = 0.5, 1e8, 1e4 + 0.5, 10 ** 6
+        p = DimensionlessParams(alpha, kappa, tau)
+        res = decoherence_kernel(p)
+        chunks = (np.arange(lo, min(lo + 10 ** 5, n + 1), dtype=np.float64)
+                  for lo in range(1, n + 1, 10 ** 5))
+        direct = math.fsum(float(kernel._term_base(m, kappa, tau).sum()) for m in chunks)
+        switching = kernel._switching_prefactor(p) * specfun.clausen_sl3(kappa)
+        ref = alpha ** 2 * (direct + switching)
+        bound = kernel._tail_majorant(alpha, kappa, tau, n) + SeriesPolicy().tail_bound
+        assert abs(res.gamma - ref) <= bound
 
     def test_max_terms_below_mandatory_minimum(self):
         with pytest.raises(ValueError):
@@ -154,13 +183,26 @@ class TestDecoherenceKernel:
     @pytest.mark.parametrize("alpha, kappa, tau", [
         (0.0, 1e8, 5.0), (0.5, 1e8, 0.0), (0.5, 1e8, 100.5), (0.3, 50.0, 1.3)])
     def test_stop_index_is_smallest_meeting_bound(self, alpha, kappa, tau):
+        """M is the floor max(32, ceil(tau) + 40) unless the estimate there
+        misses the bound; then it is the smallest count that meets it."""
         bound = SeriesPolicy().tail_bound
+
+        def estimate(n):
+            _, log_error = kernel._log_tail(tau, n)
+            ci = kernel._ci_majorant(kappa, tau, n + 1.0 - tau) / (math.pi * n * n)
+            return alpha ** 2 * (log_error + ci)
+
         res = decoherence_kernel(DimensionlessParams(alpha, kappa, tau))
         n = res.terms_used
-        floor = max(SeriesPolicy.min_terms, math.ceil(tau) + 10)
-        assert n >= floor
-        assert kernel._tail_majorant(alpha, kappa, tau, n) < bound
-        assert n == floor or kernel._tail_majorant(alpha, kappa, tau, n - 1) >= bound
+        floor = max(SeriesPolicy.min_terms, math.ceil(tau) + 40)
+        # at tau = 0 the estimate is exactly 0, not alpha^2 times 8 ulp of 0
+        assert res.truncation_estimate == pytest.approx(estimate(n), rel=1e-15, abs=1e-300)
+        assert res.truncation_estimate < bound
+        if kappa < 1e3:
+            # the Ci bound raises M at small kappa
+            assert n > floor and estimate(n - 1) >= bound
+        else:
+            assert n == floor
 
     def test_terms_computed_in_one_call(self, monkeypatch):
         calls = []
@@ -192,6 +234,12 @@ class TestDecoherenceKernel:
             decoherence_kernel(DimensionlessParams(0.5, 1e8, 2.0), policy)
         assert 0.0 < err.value.partial < 10.0
         assert err.value.error_estimate > 1e-30
+
+    def test_floor_at_max_terms_fails_at_the_floor(self, monkeypatch):
+        # no count beyond the floor is allowed: the failure reports the floor
+        monkeypatch.setattr(SeriesPolicy, "max_terms", 42)
+        with pytest.raises(ConvergenceError, match="after 42 terms"):
+            decoherence_kernel(DimensionlessParams(0.5, 1e8, 2.0), SeriesPolicy(tail_bound=1e-30))
 
     @pytest.mark.parametrize("alpha, kappa, tau", [(1e200, 1e8, 1.5), (0.5, 1e-300, 1.5)])
     def test_non_finite_majorant_fails_before_summing(self, alpha, kappa, tau, monkeypatch):
@@ -365,7 +413,7 @@ class TestKernelAtPlates:
 class TestScaling:
     def test_alpha_squared_scaling_fixed_terms(self):
         rng = np.random.default_rng(5)
-        # both alphas sum exactly max(32, ceil(tau) + 10) terms
+        # both alphas sum exactly max(32, ceil(tau) + 40) terms
         policy = SeriesPolicy(tail_bound=1e300)
         for _ in range(20):
             alpha = float(rng.uniform(0.05, 0.7))
@@ -393,6 +441,31 @@ class TestScaling:
             assert g2 == 4.0 * g1
         else:
             assert abs(g2 - 4.0 * g1) <= 4.0 * 2.0 ** -1074
+
+
+class TestLogTail:
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(tau=st.floats(0.0, 1e4), data=st.data())
+    def test_within_its_bound_of_extended_precision_sum(self, tau, data):
+        """The closed-form log tail beyond M terms, at the floor and a few
+        larger M, lies within its reported error bound (the omitted
+        Euler-Maclaurin term plus the rounding allowance) of a 40-digit sum."""
+        floor = max(SeriesPolicy.min_terms, math.ceil(tau) + 40)
+        M = data.draw(st.sampled_from([floor, floor + 1, floor + 17, 3 * floor]), label="M")
+        value, error = kernel._log_tail(tau, M)
+        with mp.workdps(40):
+            t = mp.mpf(tau)
+
+            def term(m):
+                # ln((m + t)/(m - t)), accurate down to the smallest t
+                return 2 * t / (mp.pi * m ** 3) * 2 * mp.atanh(t / m)
+
+            # in units of the first term: the quadrature inside nsum has
+            # an absolute tolerance, which a tail of 1e-43 would be under
+            head = term(M + 1)
+            ref = head * mp.nsum(lambda m: term(m) / head, [M + 1, mp.inf],
+                                 method="euler-maclaurin") if head else 0
+            assert abs(mp.mpf(value) - ref) <= error
 
 
 class TestTailMajorant:
